@@ -143,46 +143,89 @@ def fw_gap(x, problem) -> float:
     """Duality gap <grad f(x), x - s> at a feasible point."""
     if problem.region.membership_violation(x) > 1e-6:
         raise ValueError("point is not feasible")
+    return _row_gap(np.asarray(x, dtype=float), problem)
+
+
+def _row_gap(x, problem):
+    """fw_gap without the feasibility check: run records it at every
+    visited point, and midpoint runs can leave the region."""
     g = problem.objective.gradient(x)
     s = problem.region.lmo(g).dense()
-    return float(np.vdot(g, np.asarray(x, dtype=float) - s))
+    return float(np.vdot(g, x - s))
 
 
-def _largest_nonincreasing_step(value, x, d, fx, tol):
-    """Largest gamma in [0, 1] with f(x + gamma d) <= f(x).
-
-    Grid scan (33 points) to bracket the last sign change of
-    phi(gamma) = f(x + gamma d) - f(x), then bisection to width tol.
-    phi can dip and recover, so the grid guards against stopping at an
-    early pocket. Always >= 0; equals 0 for ascent directions.
-    """
-    def phi(gm):
-        return value(x + gm * d) - fx
-
-    if phi(1.0) <= 0.0:
+def _scan_and_bisect(nonincreasing, tol):
+    """Largest gamma in [0, 1] that the sign test nonincreasing(gamma)
+    accepts: a 33-point grid scan brackets the last accepted grid point,
+    then bisection narrows the bracket to width tol."""
+    if nonincreasing(1.0):
         return 1.0
     grid = np.linspace(0.0, 1.0, 33)
-    vals = [phi(gm) for gm in grid]
-    idx = max(i for i in range(33) if vals[i] <= 0.0)  # i=0 always qualifies
+    ok = [nonincreasing(gm) for gm in grid]
+    idx = max(i for i in range(33) if ok[i])  # i=0 always qualifies
     if idx == 32:
         return 1.0
     lo, hi = grid[idx], grid[idx + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
+        if nonincreasing(mid):
             lo = mid
         else:
             hi = mid
     return float(lo)
 
 
+def _largest_nonincreasing_step(objective, x, d, fx, tol):
+    """Largest gamma in [0, 1] with f(x + gamma d) <= f(x) = fx.
+
+    Grid scan (33 points) to bracket the last sign change of
+    phi(gamma) = f(x + gamma d) - f(x), then bisection to width tol.
+    phi can dip and recover, so the grid guards against stopping at an
+    early pocket. Always >= 0; equals 0 for ascent directions.
+
+    An objective with along(x, d) -> (a, b, err) is quadratic along d:
+    phi(gamma) = a gamma^2 + b gamma exactly, and err bounds the rounding
+    of phi as value computes it. A sign test then reads the model wherever
+    |model| > err, where the evaluated phi has the same sign, and calls
+    value only for the tests the model cannot settle, so the search makes
+    the same decisions with a handful of value calls instead of about 63.
+    The step found is checked with one value call (unless it is 0); if f
+    rises there, the search is redone with every test evaluated, so a wrong
+    model can change the step but never lets f rise.
+    """
+    def evaluated(gm):
+        return objective.value(x + gm * d) - fx <= 0.0
+
+    along = getattr(objective, "along", None)
+    if along is None:
+        return _scan_and_bisect(evaluated, tol)
+    a, b, err = along(x, d)
+
+    def modelled(gm):
+        m = gm * (a * gm + b)
+        # at gm = 0 both m and phi are exactly 0: f(x + 0 d) = f(x) = fx
+        return m <= 0.0 if gm == 0.0 or abs(m) > err else evaluated(gm)
+
+    gbar = _scan_and_bisect(modelled, tol)
+    if gbar == 0.0 or evaluated(gbar):
+        return gbar
+    return _scan_and_bisect(evaluated, tol)
+
+
+def _searched_step(objective, x, d, fx, k, c, tol):
+    """(step, gbar): gbar is the largest non-increasing step along d from x,
+    where f(x) = fx; step is the larger of gbar and the open-loop fraction
+    c/(c+k), clipped to [0, 1]."""
+    gbar = _largest_nonincreasing_step(objective, x, d, fx, tol)
+    return float(min(1.0, max(c / (c + k), gbar))), gbar
+
+
 def line_search_gamma(x, d, k: int, c: float, objective, tol: float = 1e-10) -> float:
     """Searched step: max of the open-loop fraction c/(c+k) and the largest
     non-increasing step along d. Clipped to [0, 1]."""
-    gbar = _largest_nonincreasing_step(objective.value, np.asarray(x, dtype=float),
-                                       np.asarray(d, dtype=float),
-                                       objective.value(x), tol)
-    return float(min(1.0, max(c / (c + k), gbar)))
+    x = np.asarray(x, dtype=float)
+    return _searched_step(objective, x, np.asarray(d, dtype=float),
+                          objective.value(x), k, c, tol)[0]
 
 
 def momentum_step(x, z, v, k: int, c: float, problem):
@@ -199,12 +242,6 @@ def momentum_step(x, z, v, k: int, c: float, problem):
     v_next = problem.region.lmo(z_next).dense()
     x_next = (1.0 - gamma) * x + gamma * v_next
     return x_next, z_next, v_next
-
-
-def _row_gap(x, problem):
-    g = problem.objective.gradient(x)
-    s = problem.region.lmo(g).dense()
-    return float(np.vdot(g, x - s))
 
 
 def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
@@ -254,12 +291,10 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
             gaps[k] = st.gap_at_start
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
-            fx = fs[k]
-            gbar = _largest_nonincreasing_step(obj.value, x, d, fx, cfg.ls_tol)
-            step = min(1.0, max(cfg.c / (cfg.c + k), gbar))
+            step, gbar = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
             x_next = x + step * d
-            if obj.value(x_next) > fx:
-                # monotone fallback: gbar never raises f by construction
+            # monotone fallback: the search checked f(x + gbar d) <= f(x)
+            if step != gbar and obj.value(x_next) > fs[k]:
                 x_next = x + gbar * d
         else:  # momentum
             gaps[k] = _row_gap(x, problem)

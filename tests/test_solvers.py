@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkfw.geometry import Box, DenseAtom
-from rkfw.objectives import DistanceSq
+from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import ProblemInstance, make_sensing, make_triangle
-from rkfw.solvers import (SolverConfig, fw_gap, line_search_gamma,
-                          momentum_step, rk_fw_step, run)
+from rkfw.solvers import (SolverConfig, _largest_nonincreasing_step, fw_gap,
+                          line_search_gamma, momentum_step, rk_fw_step, run)
 from rkfw.tableau import make_tableau
 
 
@@ -180,6 +180,79 @@ def test_line_search_fallback_keeps_monotone():
                x0=np.array([0.9]))
     assert traj.fs[1] <= traj.fs[0] + 1e-12
     assert np.all(np.diff(traj.fs) <= 1e-12)
+
+
+class ValueOnly:
+    """An objective with its along() hidden: every line-search test is
+    evaluated."""
+
+    def __init__(self, objective):
+        self.value = objective.value
+        self.gradient = objective.gradient
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["least_squares", "distance_sq"]),
+       st.sampled_from([1.0, 1e3, 1e6]), st.sampled_from([0.0, 1e-8, 1.0]),
+       st.sampled_from(["descent", "ascent", "short", "random"]))
+def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, direction):
+    # x_scale puts x far from the origin; misfit 0 or 1e-8 gives near-fit
+    # instances, whose f is far below the rounding of the terms value sums
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    x = x_scale * rng.standard_normal(n)
+    if kind == "least_squares":
+        m = int(rng.integers(1, 40))
+        g = rng.standard_normal((m, n))
+        obj = LeastSquares(g, g @ x + misfit * rng.standard_normal(m))
+    else:
+        obj = DistanceSq(x + misfit * rng.standard_normal(n))
+    grad = obj.gradient(x)
+    step_len = 10.0 ** rng.uniform(-6, 1)
+    if direction == "random":
+        d = step_len * rng.standard_normal(n)
+    else:
+        sign = 1.0 if direction == "ascent" else -1.0
+        d = sign * step_len * grad / max(np.linalg.norm(grad), 1e-300)
+        if direction == "short":
+            # far inside the first descent pocket, so phi(1) <= 0
+            a, b, _ = obj.along(x, grad)
+            d = -grad * (abs(b) / (2.0 * a) if a > 0 else 1.0) * 0.5
+    fx = obj.value(x)
+    got = _largest_nonincreasing_step(obj, x, d, fx, 1e-10)
+    want = _largest_nonincreasing_step(ValueOnly(obj), x, d, fx, 1e-10)
+    assert got == want
+    assert obj.value(x + got * d) <= fx
+
+
+class WrongModel(LeastSquares):
+    """along() claims phi falls everywhere along d, whatever it does."""
+
+    def along(self, x, d):
+        return 0.0, -1.0, 0.0
+
+
+def test_line_search_wrong_model_stays_monotone():
+    # the search checks the step it found with a real value call and, when f
+    # rose there, searches again with every test evaluated
+    p = make_sensing(m=30, n=8, seed=2, alpha=50.0)
+    wrong = ProblemInstance(WrongModel(p.objective.g, p.objective.h), p.region,
+                            p.x0, None, "wrong")
+    plain = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "plain")
+    for name in ("euler", "rk44"):
+        cfg = cfg_for(name, variant="line_search", max_iters=60)
+        traj = run(wrong, cfg)
+        assert np.all(np.diff(traj.fs) <= 1e-12), name
+        assert np.array_equal(traj.fs, run(plain, cfg).fs), name
+
+
+@pytest.mark.parametrize("name", ["euler", "rk44"])
+def test_line_search_model_and_evaluated_runs_agree(name):
+    p = make_sensing(m=60, n=20, seed=5)
+    hidden = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "hidden")
+    cfg = cfg_for(name, variant="line_search", max_iters=80)
+    a, b = run(p, cfg), run(hidden, cfg)
+    assert np.array_equal(a.fs, b.fs)
+    assert np.array_equal(a.step_norms, b.step_norms)
 
 
 def test_momentum_hand_step():
