@@ -101,8 +101,9 @@ class L1Ball:
 
     def lmo(self, g) -> Atom:
         g = np.asarray(g, dtype=float)
-        j = int(np.argmax(np.abs(g)))  # ties break at the lowest index
-        return BasisAtom(j, -self.alpha * float(_sign(g[j])), self.n)
+        j = int(np.abs(g).argmax())  # ties break at the lowest index
+        # sign(0) := +1 as in _sign; a NaN entry takes -1
+        return BasisAtom(j, -self.alpha if g[j] >= 0.0 else self.alpha, self.n)
 
     def membership_violation(self, x) -> float:
         return float(max(0.0, np.sum(np.abs(x)) - self.alpha))
@@ -111,8 +112,22 @@ class L1Ball:
         return 2.0 * self.alpha
 
 
+def _barycentric_violation(m, coeffs, rhs):
+    """How far barycentric coefficients are from certifying membership:
+    the most negative coefficient or the solve's residual."""
+    recon = float(np.linalg.norm(m @ coeffs - rhs))
+    return float(max(0.0, -coeffs.min(), recon))
+
+
 class VertexHull:
-    """Convex hull of an explicit vertex list."""
+    """Convex hull of an explicit vertex list.
+
+    Membership is a barycentric solve [vertices^T; 1^T] c = [x; 1], so only
+    simplices (n+1 affinely independent vertices) support it, which covers
+    every hull used here. The system and its inverse are built once, as
+    barycentric_matrix and barycentric_inverse; both are None for other
+    hulls, whose membership check raises when it is asked for.
+    """
 
     kind = "vertex_hull"
 
@@ -122,24 +137,33 @@ class VertexHull:
             raise ValueError("need a nonempty 2-d array of finite vertices")
         self.vertices = vs
         self.n = vs.shape[1]
+        self.barycentric_matrix = self.barycentric_inverse = None
+        if len(vs) != self.n + 1:
+            self._membership_error = "membership check unsupported for non-simplex hulls"
+            return
+        m = np.vstack([vs.T, np.ones(len(vs))])
+        if np.linalg.lstsq(m, np.ones(len(vs)), rcond=None)[2] < len(vs):
+            self._membership_error = "membership check unsupported for degenerate hulls"
+            return
+        self.barycentric_matrix = m
+        self.barycentric_inverse = np.linalg.solve(m, np.eye(len(vs)))
 
     def lmo(self, g) -> Atom:
         scores = self.vertices @ np.asarray(g, dtype=float)
-        return DenseAtom(self.vertices[int(np.argmin(scores))].copy())
+        return DenseAtom(self.vertices[scores.argmin()].copy())
 
     def membership_violation(self, x) -> float:
-        # Barycentric solve; only simplices (n+1 affinely independent
-        # vertices) are supported, which covers every hull used here.
-        vs = self.vertices
-        if len(vs) != self.n + 1:
-            raise ValueError("membership check unsupported for non-simplex hulls")
-        m = np.vstack([vs.T, np.ones(len(vs))])
+        if self.barycentric_inverse is None:
+            raise ValueError(self._membership_error)
+        m = self.barycentric_matrix
         rhs = np.append(np.asarray(x, dtype=float), 1.0)
-        coeffs, residual, rank, _ = np.linalg.lstsq(m, rhs, rcond=None)
-        if rank < len(vs):
-            raise ValueError("membership check unsupported for degenerate hulls")
-        recon = float(np.linalg.norm(m @ coeffs - rhs))
-        v = float(max(0.0, -np.min(coeffs), recon))
+        # The inverse's coefficients differ from the least-squares ones by
+        # rounding (about cond(m) eps |c|), so a point this far below the
+        # snap threshold is interior under both. Any other point is
+        # reported from the least-squares solution, digit for digit.
+        if _barycentric_violation(m, self.barycentric_inverse @ rhs, rhs) < 0.5e-12:
+            return 0.0
+        v = _barycentric_violation(m, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
         # snap solver noise to a clean zero for interior points
         return 0.0 if v < 1e-12 else v
 

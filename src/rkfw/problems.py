@@ -46,9 +46,7 @@ def make_triangle(x_star=(0.2, 0.3)) -> ProblemInstance:
     """
     hull = VertexHull(TRIANGLE_VERTICES)
     xs = np.asarray(x_star, dtype=float)
-    vs = hull.vertices
-    m = np.vstack([vs.T, np.ones(len(vs))])
-    coeffs = np.linalg.solve(m, np.append(xs, 1.0))
+    coeffs = hull.barycentric_inverse @ np.append(xs, 1.0)
     if np.any(coeffs <= 1e-12):
         raise ValueError("x_star must lie strictly inside the triangle")
     return ProblemInstance(

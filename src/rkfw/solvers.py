@@ -111,31 +111,36 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
 
     Returns (x_next, StageState). Stage i sees the point advanced by the
     tableau row, x + sum_j a[i][j] xi_j, and pulls toward its own oracle
-    answer with fraction delta*c/(c + delta*(k + offset_i)).
+    answer with fraction delta*c/(c + delta*(k + offset_i)). A non-finite
+    stage point or step raises ArithmeticError.
     """
     t = cfg.tableau
     obj, region = problem.objective, problem.region
-    gammas = stage_gammas(t, cfg.c, cfg.delta, k)
+    x = np.asarray(x, dtype=float)
+    gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
+    a = t.a.tolist()
     xi, xbars, atoms = [], [], []
     gap0 = 0.0
-    for i in range(t.q):
-        xb = np.array(x, dtype=float, copy=True)
-        for j in range(i):
-            if t.a[i, j] != 0.0:
-                xb += t.a[i, j] * xi[j]
-        if not np.all(np.isfinite(xb)):
+    for i, gamma in enumerate(gammas):
+        xb = x.copy()
+        for aij, xij in zip(a[i], xi):
+            if aij != 0.0:
+                xb += aij * xij
+        if not np.isfinite(xb).all():
             raise ArithmeticError(f"non-finite state at stage {i}, iteration {k}")
         g = obj.gradient(xb)
         atom = region.lmo(g)
         sd = atom.dense()
         if i == 0:
             gap0 = float(np.vdot(g, xb - sd))
-        xi.append(gammas[i] * (sd - xb))
+        xi.append(gamma * (sd - xb))
         xbars.append(xb)
         atoms.append(atom)
-    x_next = np.array(x, dtype=float, copy=True)
-    for i in range(t.q):
-        x_next += t.weights[i] * xi[i]
+    x_next = x.copy()
+    for w, step in zip(t.weights.tolist(), xi):
+        x_next += w * step
+    if not np.isfinite(x_next).all():
+        raise ArithmeticError(f"non-finite step at iteration {k}")
     return x_next, StageState(xbars, atoms, xi, gap0)
 
 
@@ -277,7 +282,7 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
         fs[k] = obj.value(x)
         violations[k] = region.membership_violation(x)
         if iterates is not None:
-            iterates.append(x.copy())
+            iterates.append(x)  # every step builds a new x; none is modified
         if k == cfg.max_iters:
             gaps[k] = _row_gap(x, problem)
             wall[k] = time.perf_counter_ns() - t0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -94,6 +94,52 @@ def test_hull_rejects_non_simplex_membership():
     square = VertexHull([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError, match="non-simplex"):
         square.membership_violation([0.5, 0.5])
+    # the oracle does not need a simplex
+    assert np.array_equal(square.lmo([1.0, 1.0]).dense(), [0.0, 0.0])
+    assert np.array_equal(square.lmo([-1.0, -2.0]).dense(), [1.0, 1.0])
+
+
+def test_hull_rejects_degenerate_membership():
+    collinear = VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+    with pytest.raises(ValueError, match="degenerate"):
+        collinear.membership_violation([1.0, 1.0])
+    assert np.array_equal(collinear.lmo([1.0, 0.0]).dense(), [0.0, 0.0])
+
+
+def lstsq_membership(vertices, x):
+    """Violation from a least-squares barycentric solve, snapped to 0
+    below 1e-12."""
+    m = np.vstack([vertices.T, np.ones(len(vertices))])
+    rhs = np.append(x, 1.0)
+    coeffs = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    v = max(0.0, -float(np.min(coeffs)), float(np.linalg.norm(m @ coeffs - rhs)))
+    return 0.0 if v < 1e-12 else v
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_hull_membership_matches_lstsq(seed, n):
+    rng = np.random.default_rng(seed)
+    vs = rng.uniform(-10.0, 10.0, size=(n + 1, n))
+    assume(np.linalg.cond(np.vstack([vs.T, np.ones(n + 1)])) < 1e4)
+    hull = VertexHull(vs)
+    # strictly interior: every barycentric coordinate >= 0.1 / 1.5
+    inside = (0.1 + rng.dirichlet(np.ones(n + 1))) / (1.0 + 0.1 * (n + 1))
+    assert hull.membership_violation(inside @ vs) == 0.0 == lstsq_membership(vs, inside @ vs)
+    j = int(rng.integers(n + 1))
+    # on the facet opposite vertex j: both solves snap to 0
+    facet = inside.copy()
+    facet[(j + 1) % (n + 1)] += facet[j]
+    facet[j] = 0.0
+    assert hull.membership_violation(facet @ vs) == lstsq_membership(vs, facet @ vs) == 0.0
+    # outside: coordinate j at most -0.4, the coordinates still sum to 1
+    shift = rng.uniform(1.5, 3.0)
+    outside = inside.copy()
+    outside[j] -= shift
+    outside[(j + 1) % (n + 1)] += shift
+    x = outside @ vs
+    want = lstsq_membership(vs, x)
+    assert want >= 0.4
+    assert hull.membership_violation(x) == want
 
 
 def test_hull_diameter():

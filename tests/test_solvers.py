@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from rkfw.geometry import Box, DenseAtom
 from rkfw.objectives import DistanceSq, LeastSquares
-from rkfw.problems import ProblemInstance, make_sensing, make_triangle
+from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
+                           make_triangle)
 from rkfw.solvers import (SolverConfig, _largest_nonincreasing_step, fw_gap,
                           line_search_gamma, momentum_step, rk_fw_step, run)
-from rkfw.tableau import make_tableau
+from rkfw.tableau import TABLEAU_NAMES, make_tableau, stage_gammas
 
 
 def scalar_box_problem(target=0.0):
@@ -64,6 +65,45 @@ def test_euler_step_equals_classic_update(x, k, c):
     g = p.objective.gradient(xv)
     s = p.region.lmo(g).dense()
     assert x_next == pytest.approx(xv + gamma * (s - xv), abs=1e-15)
+
+
+def reference_step(x, k, cfg, problem):
+    """rk_fw_step's stage loop written out plainly: a fresh float copy of x
+    per stage, numpy-scalar tableau entries and the gammas as an array."""
+    t = cfg.tableau
+    gammas = stage_gammas(t, cfg.c, cfg.delta, k)
+    xi, xbars = [], []
+    for i in range(t.q):
+        xb = np.array(x, dtype=float, copy=True)
+        for j in range(i):
+            if t.a[i, j] != 0.0:
+                xb += t.a[i, j] * xi[j]
+        sd = problem.region.lmo(problem.objective.gradient(xb)).dense()
+        xi.append(gammas[i] * (sd - xb))
+        xbars.append(xb)
+    x_next = np.array(x, dtype=float, copy=True)
+    for i in range(t.q):
+        x_next += t.weights[i] * xi[i]
+    return x_next, xi, xbars
+
+
+@pytest.mark.parametrize("make", [
+    make_triangle,
+    lambda: make_scalar_huber(epsilon=1e-6),
+    lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
+], ids=["triangle", "interval", "sensing"])
+@pytest.mark.parametrize("name", TABLEAU_NAMES)
+def test_step_is_bit_identical_to_reference(make, name):
+    p = make()
+    cfg = cfg_for(name, delta=0.5)
+    x = p.x0
+    for k in [*range(12), 100, 1001, 99999]:
+        x_next, st_ = rk_fw_step(x, k, cfg, p)
+        want, xi, xbars = reference_step(x, k, cfg, p)
+        assert np.array_equal(x_next, want), k
+        assert all(np.array_equal(a, b) for a, b in zip(st_.xi, xi, strict=True)), k
+        assert all(np.array_equal(a, b) for a, b in zip(st_.xbar, xbars, strict=True)), k
+        x = x_next
 
 
 @pytest.mark.parametrize("name", ["midpoint", "rk44", "rk38", "rk5"])
@@ -291,18 +331,28 @@ def test_config_validation():
         cfg_for("euler", max_iters=-1).validate()
 
 
+class InfOracle:
+    def lmo(self, g):
+        return DenseAtom(np.array([np.inf]))
+
+    def membership_violation(self, x):
+        return 0.0
+
+
 def test_non_finite_state_raises():
-    class InfOracle:
-        def lmo(self, g):
-            return DenseAtom(np.array([np.inf]))
-
-        def membership_violation(self, x):
-            return 0.0
-
     p = ProblemInstance(DistanceSq(np.array([0.0])), InfOracle(),
                         np.array([0.5]), None, "inf")
     with pytest.raises(ArithmeticError, match="non-finite state at stage 1"):
         rk_fw_step(np.array([0.5]), 0, cfg_for("midpoint"), p)
+
+
+@pytest.mark.parametrize("variant", ["plain", "line_search"])
+def test_non_finite_step_raises_in_run(variant):
+    # the one-stage step is infinite at once; no search may see it
+    p = ProblemInstance(DistanceSq(np.array([0.0])), InfOracle(),
+                        np.array([0.5]), None, "inf")
+    with pytest.raises(ArithmeticError, match="non-finite step at iteration 0"):
+        run(p, cfg_for("euler", variant=variant, max_iters=5))
 
 
 def test_csv_round_trip():
