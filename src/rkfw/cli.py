@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import zigzag_energy
-from .flow import reference_trajectory, total_accumulation_error
-from .harness import (PROBLEM_NAMES, ExperimentConfig, build_problem,
-                      parse_config, run_experiment)
-from .solvers import VARIANTS, SolverConfig, run
+from .harness import (PROBLEM_NAMES, VALUE_PARSERS, ExperimentConfig,
+                      build_problem, parse_config, run_experiment,
+                      solver_configs, tae_csv)
+from .solvers import VARIANTS, run
 from .tableau import feasibility_certificate, resolve_tableau
 
 __all__ = ["main"]
@@ -32,51 +32,33 @@ def _emit(text: str, out):
         Path(out).write_text(text)
 
 
-def _ints(text):
-    return tuple(int(tok) for tok in text.split(","))
-
-
-def _floats(text):
-    return tuple(float(tok) for tok in text.split(","))
+# what a run flag needs beyond its ExperimentConfig key and type
+_FLAG_EXTRAS = {
+    "problem": dict(required=True, choices=PROBLEM_NAMES),
+    "tableau": dict(help="builtin name, comma list, or tableau file path"),
+    "variant": dict(choices=VARIANTS),
+    "ref_delta": dict(help="also write tae.csv against a reference this fine"),
+    "data": dict(help="svmlight or ratings file"),
+}
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
-    p.add_argument("--tableau", default="euler",
-                   help="builtin name, comma list, or tableau file path")
-    p.add_argument("--variant", default="plain", choices=VARIANTS)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", default="runs")
-    p.add_argument("--windows", default="5,20")
-    p.add_argument("--ref-delta", type=float,
-                   help="also write tae.csv against a reference this fine")
-    p.add_argument("--record-iterates", action="store_true")
-    p.add_argument("--ls-tol", type=float, default=1e-10)
-    group = p.add_argument_group("problem parameters")
-    group.add_argument("--x-star", default="0.2,0.3")
-    group.add_argument("--epsilon", type=float, default=0.5)
-    group.add_argument("--m", type=int, default=500)
-    group.add_argument("--n", type=int, default=100)
-    group.add_argument("--sparsity", type=float, default=0.10)
-    group.add_argument("--noise-sd", type=float, default=0.05)
-    group.add_argument("--alpha", type=float, default=1000.0)
-    group.add_argument("--rho", type=float, default=10.0)
-    group.add_argument("--data", help="svmlight or ratings file")
+    """One flag per config key; an unset flag keeps the dataclass default."""
+    group = p
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name == "jobs":  # a sweep flag; the problem parameters follow it
+            group = p.add_argument_group("problem parameters")
+            continue
+        kw = (dict(action="store_true") if f.type is bool
+              else dict(type=VALUE_PARSERS[f.name]))
+        group.add_argument("--" + f.name.replace("_", "-"),
+                           default=argparse.SUPPRESS,
+                           **kw, **_FLAG_EXTRAS.get(f.name, {}))
 
 
 def _cfg_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        problem=args.problem,
-        tableau=tuple(s.strip() for s in args.tableau.split(",") if s.strip()),
-        variant=args.variant, c=args.c, delta=args.delta, iters=args.iters,
-        seed=args.seed, windows=_ints(args.windows), ref_delta=args.ref_delta,
-        record_iterates=args.record_iterates, ls_tol=args.ls_tol,
-        out_dir=args.out_dir, x_star=_floats(args.x_star),
-        epsilon=args.epsilon, m=args.m, n=args.n, sparsity=args.sparsity,
-        noise_sd=args.noise_sd, alpha=args.alpha, rho=args.rho, data=args.data)
+    return ExperimentConfig(**{k: v for k, v in vars(args).items()
+                               if k in VALUE_PARSERS})
 
 
 def _cmd_certify(args) -> int:
@@ -112,18 +94,9 @@ def _cmd_tae(args) -> int:
         raise ValueError("tae needs --ref-delta")
     if len(cfg.tableau) != 1:
         raise ValueError("tae compares a single tableau against the reference")
-    sc = SolverConfig(tableau=resolve_tableau(cfg.tableau[0]), c=cfg.c,
-                      delta=cfg.delta, max_iters=cfg.iters,
-                      variant=cfg.variant, ls_tol=cfg.ls_tol,
-                      record_iterates=True)
-    sc.validate()
+    (sc,) = solver_configs(cfg)
     problem = build_problem(cfg)
-    traj = run(problem, sc)
-    ref = reference_trajectory(problem, cfg.c, cfg.ref_delta,
-                               t_end=cfg.iters * cfg.delta)
-    pairs = total_accumulation_error(traj, ref)
-    lines = ["t,epsilon"] + [f"{t!r},{eps!r}" for t, eps in pairs]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(tae_csv(problem, run(problem, sc), cfg), args.out)
     return 0
 
 

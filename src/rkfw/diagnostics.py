@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import ButcherTableau, stage_gammas
+from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
 
 __all__ = [
     "ZigzagReport", "zigzag_energy", "sup_envelope", "sup_envelope_all",
@@ -136,9 +136,7 @@ class DecreaseBoundParams:
     @classmethod
     def for_tableau(cls, t: ButcherTableau, c: float, l: float, l2: float,
                     d: float) -> "DecreaseBoundParams":
-        gammas = stage_gammas(t, c, 1.0, 1)
-        m = np.eye(t.q) + gammas[:, None] * t.a
-        p = np.linalg.solve(m, np.diag(gammas)).T
+        p = _mixing_matrix(t, stage_gammas(t, c, 1.0, 1))
         p_max = float(np.max(np.linalg.norm(p, axis=0)))  # max column norm
         return cls(l=l, l2=l2, d=d, p_max=p_max, q=t.q,
                    a_max=float(np.max(np.abs(t.a))))

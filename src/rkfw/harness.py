@@ -22,8 +22,9 @@ from .solvers import VARIANTS, SolverConfig, run
 from .tableau import resolve_tableau
 
 __all__ = [
-    "ExperimentConfig", "parse_config", "render", "load_svmlight",
-    "load_movielens", "build_problem", "run_experiment", "PROBLEM_NAMES",
+    "ExperimentConfig", "VALUE_PARSERS", "parse_config", "render",
+    "load_svmlight", "load_movielens", "build_problem", "solver_configs",
+    "tae_csv", "run_experiment", "PROBLEM_NAMES",
 ]
 
 PROBLEM_NAMES = ("triangle", "scalar_huber", "sensing", "sensing_logistic",
@@ -62,38 +63,30 @@ class ExperimentConfig:
     data: str = None
 
 
-_INT_KEYS = {"iters", "seed", "m", "n", "jobs"}
-_FLOAT_KEYS = {"c", "delta", "ls_tol", "epsilon", "sparsity", "noise_sd",
-               "alpha", "rho", "ref_delta"}
-_STR_KEYS = {"problem", "variant", "out_dir", "data"}
-_BOOL_KEYS = {"record_iterates"}
-_KNOWN_KEYS = (_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
-               | {"tableau", "windows", "x_star"})
+# element type of each comma-list key; every other key is typed by its annotation
+_LIST_ELEMS = {"tableau": str, "windows": int, "x_star": float}
 
 
-def _convert(key, text, lineno):
-    try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _BOOL_KEYS:
-            low = text.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if key == "tableau":
-            return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-        if key == "windows":
-            return tuple(int(tok) for tok in text.split(","))
-        if key == "x_star":
-            return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"line {lineno}: malformed value for {key}: {text!r}") from None
-    return text
+def _bool(text):
+    low = text.lower()
+    if low not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(text)
+    return low in ("true", "1", "yes")
+
+
+def _list_of(elem):
+    def parse(text):
+        toks = [tok.strip() for tok in text.split(",")] if text.strip() else []
+        # a blank name is a stray separator; a blank number is malformed
+        return tuple(elem(tok) for tok in toks if tok or elem is not str)
+    parse.__name__ = f"{elem.__name__} list"  # argparse: "invalid int list value"
+    return parse
+
+
+#: key -> parser from its text form to the value ExperimentConfig holds
+VALUE_PARSERS = {f.name: _list_of(_LIST_ELEMS[f.name]) if f.type is tuple
+                 else _bool if f.type is bool else f.type
+                 for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -106,12 +99,16 @@ def parse_config(text) -> ExperimentConfig:
         key, sep, rest = line.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
+        key, rest = key.strip(), rest.strip()
+        if key not in VALUE_PARSERS:
             raise ValueError(f"unknown key: {key}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key: {key}")
-        values[key] = _convert(key, rest.strip(), lineno)
+        try:
+            values[key] = VALUE_PARSERS[key](rest)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: malformed value for {key}: {rest!r}") from None
     if "problem" not in values:
         raise ValueError("missing required key: problem")
     return ExperimentConfig(**values)
@@ -256,6 +253,33 @@ def _version() -> str:
         return "0+unknown"
 
 
+def solver_configs(cfg: ExperimentConfig) -> list:
+    """One validated SolverConfig per tableau; fails before any problem is built."""
+    if cfg.variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {cfg.variant}")
+    if any(w < 2 for w in cfg.windows):
+        raise ValueError("window must be >= 2")
+    solver_cfgs = []
+    for name in cfg.tableau:
+        sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
+                          delta=cfg.delta, max_iters=cfg.iters,
+                          variant=cfg.variant, ls_tol=cfg.ls_tol,
+                          record_iterates=True)
+        sc.validate()
+        solver_cfgs.append(sc)
+    if not solver_cfgs:
+        raise ValueError("config names no tableau")
+    return solver_cfgs
+
+
+def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
+    """`t,epsilon` rows of traj's error against a flow reference at cfg.ref_delta."""
+    ref = reference_trajectory(problem, cfg.c, cfg.ref_delta,
+                               t_end=cfg.iters * cfg.delta)
+    pairs = total_accumulation_error(traj, ref)
+    return "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+
+
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
              out_root: Path) -> dict:
     run_dir = out_root / f"{solver_cfg.tableau.name}_{solver_cfg.variant}"
@@ -267,18 +291,13 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
         with open(run_dir / "iterates.txt", "w") as fh:
             traj.write_iterates(fh)
     for w in cfg.windows:
-        if w >= 2 and len(traj.iterates) >= w + 1:
+        if len(traj.iterates) >= w + 1:
             report = zigzag_energy(traj.iterates, w, delta=cfg.delta)
             with open(run_dir / f"zigzag_w{w}.csv", "w") as fh:
                 report.write_csv(fh)
     if cfg.ref_delta is not None:
-        ref = reference_trajectory(problem, cfg.c, cfg.ref_delta,
-                                   t_end=cfg.iters * cfg.delta)
-        pairs = total_accumulation_error(traj, ref)
         with open(run_dir / "tae.csv", "w") as fh:
-            fh.write("t,epsilon\n")
-            for t, eps in pairs:
-                fh.write(f"{t!r},{eps!r}\n")
+            fh.write(tae_csv(problem, traj, cfg))
     # manifest pins this single run: same config, tableau narrowed to one
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))
@@ -297,23 +316,8 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Fan a config out into runs; write artifacts under cfg.out_dir.
-
-    Method specs are validated before any problem is built, so a bad
-    variant/tableau pairing fails before touching data or compute.
-    """
-    if cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {cfg.variant}")
-    solver_cfgs = []
-    for name in cfg.tableau:
-        sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
-                          delta=cfg.delta, max_iters=cfg.iters,
-                          variant=cfg.variant, ls_tol=cfg.ls_tol,
-                          record_iterates=True)
-        sc.validate()
-        solver_cfgs.append(sc)
-    if not solver_cfgs:
-        raise ValueError("config names no tableau")
+    """Fan a config out into runs; write artifacts under cfg.out_dir."""
+    solver_cfgs = solver_configs(cfg)
     if cfg.data is not None and not os.path.exists(cfg.data):
         raise FileNotFoundError(f"data file not found: {cfg.data}")
     problem = build_problem(cfg)

@@ -1,7 +1,12 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rkfw.cli import main
+import rkfw.cli
+from rkfw.cli import build_parser, main
+from rkfw.harness import ExperimentConfig
 
 
 def test_certify_stdout_and_exit_codes(capsys):
@@ -71,6 +76,38 @@ def test_tae_stdout(capsys):
     assert len(lines) == 12
     t0, e0 = lines[1].split(",")
     assert float(t0) == 0.0 and float(e0) == 0.0
+
+
+def _flags(verb):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[verb]._actions} - {"help"}
+
+
+def test_run_flags_are_the_config_keys(monkeypatch):
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"jobs"}
+    assert _flags("solve") == keys
+    assert _flags("tae") == keys | {"out"}
+    seen = []
+    monkeypatch.setattr(rkfw.cli, "run_experiment", lambda cfg: seen.append(cfg) or 0)
+    assert main(["solve", "--problem", "triangle"]) == 0
+    assert seen == [ExperimentConfig(problem="triangle")]
+
+
+def test_tae_stdout_matches_solve_tae_csv(tmp_path, capsys):
+    flags = ["--problem", "triangle", "--tableau", "rk44", "--delta", "0.1",
+             "--iters", "20", "--ref-delta", "0.01"]
+    assert main(["tae", *flags]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["solve", *flags, "--out-dir", str(tmp_path)]) == 0
+    assert stdout == (tmp_path / "rk44_plain" / "tae.csv").read_text()
+
+
+def test_malformed_run_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "triangle", "--iters", "soon"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'soon'" in capsys.readouterr().err
 
 
 def test_tae_requires_ref_delta(capsys):

@@ -27,6 +27,8 @@ def test_parse_rejects_unknown_key():
 def test_parse_rejects_malformed_value():
     with pytest.raises(ValueError, match="line 2.*malformed value for iters"):
         parse_config("problem = triangle\niters = soon\n")
+    with pytest.raises(ValueError, match="line 2.*malformed value for windows"):
+        parse_config("problem = triangle\nwindows = 5,,20\n")
 
 
 def test_parse_requires_problem():
@@ -57,6 +59,9 @@ def test_parse_comments_blanks_and_types():
     assert cfg.c == 3.5 and cfg.seed == 7
     assert cfg.record_iterates is True
     assert parse_config(text) == cfg  # determinism
+    # a blank name between commas is a stray separator
+    assert parse_config("problem = t\ntableau = euler,, rk44,\n").tableau == (
+        "euler", "rk44")
 
 
 @pytest.mark.parametrize("cfg", [
@@ -67,6 +72,7 @@ def test_parse_comments_blanks_and_types():
                      sparsity=0.3, noise_sd=0.1, alpha=17.0),
     ExperimentConfig(problem="completion", data="ratings.tsv", rho=2.5,
                      x_star=(0.15, 0.25), jobs=4),
+    ExperimentConfig(problem="triangle", windows=()),
 ])
 def test_render_parse_round_trip(cfg):
     assert parse_config(render(cfg)) == cfg
@@ -211,6 +217,14 @@ def test_run_experiment_momentum_tableau_clash_fails_before_compute(tmp_path):
     with pytest.raises(ValueError, match="one-stage"):
         run_experiment(cfg)
     assert not (tmp_path / "rk44_momentum").exists()
+
+
+def test_run_experiment_short_window_fails_before_compute(tmp_path):
+    cfg = ExperimentConfig(problem="logistic", data="does_not_exist.svm",
+                           windows=(5, 1), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="window must be >= 2"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_experiment_missing_data_file(tmp_path):
