@@ -7,7 +7,7 @@ objectives, the multistage solver loop with its variants, and diagnostics
 """
 
 from .diagnostics import (DecreaseBoundParams, ZigzagReport,
-                          decrease_bound_check, fit_rate_slope, sup_envelope,
+                          decrease_bound_check, fit_rate_slope,
                           sup_envelope_all, zigzag_energy)
 from .flow import (FlowReference, absorption_time, closed_form_reference,
                    flow_bound, huber_flow_exact, reference_trajectory,
@@ -17,7 +17,7 @@ from .geometry import (Box, DenseAtom, BasisAtom, L1Ball, NuclearBall,
 from .harness import (ExperimentConfig, build_problem, load_movielens,
                       load_svmlight, parse_config, render, run_experiment)
 from .objectives import (DistanceSq, HuberMatrix, HuberScalar, LeastSquares,
-                         Logistic, check_gradient, top_eigenvalue)
+                         Logistic, check_gradient)
 from .problems import (ProblemInstance, make_logistic, make_matrix_completion,
                        make_scalar_huber, make_sensing, make_sensing_logistic,
                        make_triangle)
@@ -37,7 +37,7 @@ __all__ = [
     "Box", "L1Ball", "VertexHull", "NuclearBall", "DenseAtom", "BasisAtom",
     "RankOneAtom", "PowerIterationError",
     "DistanceSq", "LeastSquares", "Logistic", "HuberScalar", "HuberMatrix",
-    "check_gradient", "top_eigenvalue",
+    "check_gradient",
     "ProblemInstance", "make_triangle", "make_scalar_huber", "make_sensing",
     "make_sensing_logistic", "make_logistic", "make_matrix_completion",
     "SolverConfig", "Trajectory", "run", "rk_fw_step", "fw_gap",
@@ -45,7 +45,7 @@ __all__ = [
     "FlowReference", "flow_bound", "huber_flow_exact", "absorption_time",
     "reference_trajectory", "closed_form_reference",
     "total_accumulation_error",
-    "ZigzagReport", "zigzag_energy", "sup_envelope", "sup_envelope_all",
+    "ZigzagReport", "zigzag_energy", "sup_envelope_all",
     "fit_rate_slope", "DecreaseBoundParams", "decrease_bound_check",
     "ExperimentConfig", "parse_config", "render", "load_svmlight",
     "load_movielens", "build_problem", "run_experiment",

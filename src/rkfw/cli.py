@@ -42,12 +42,14 @@ _FLAG_EXTRAS = {
 }
 
 
-def _add_run_flags(p: argparse.ArgumentParser):
-    """One flag per config key; an unset flag keeps the dataclass default."""
+def _add_run_flags(p: argparse.ArgumentParser, omit=()):
+    """One flag per config key not in `omit`; an unset flag keeps the default."""
     group = p
     for f in dataclasses.fields(ExperimentConfig):
         if f.name == "jobs":  # a sweep flag; the problem parameters follow it
             group = p.add_argument_group("problem parameters")
+            continue
+        if f.name in omit:
             continue
         kw = (dict(action="store_true") if f.type is bool
               else dict(type=VALUE_PARSERS[f.name]))
@@ -81,7 +83,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     pts = np.loadtxt(args.iterates, ndmin=2)
-    rep = zigzag_energy(pts, args.window, delta=args.delta)
+    rep = zigzag_energy(pts, args.window)
     buf = io.StringIO()
     rep.write_csv(buf)
     _emit(buf.getvalue(), args.out)
@@ -129,12 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterates", required=True,
                    help="whitespace-separated rows, one iterate per line")
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_zigzag)
 
     p = sub.add_parser("tae", help="trajectory error against a reference")
-    _add_run_flags(p)
+    # tae writes no run directory, so it takes none of the keys that shape one
+    _add_run_flags(p, omit=("out_dir", "record_iterates", "windows"))
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_tae)
 

@@ -9,8 +9,8 @@ import numpy as np
 from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
 
 __all__ = [
-    "ZigzagReport", "zigzag_energy", "sup_envelope", "sup_envelope_all",
-    "fit_rate_slope", "DecreaseBoundParams", "decrease_bound_check",
+    "ZigzagReport", "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
+    "DecreaseBoundParams", "decrease_bound_check",
 ]
 
 
@@ -19,8 +19,6 @@ class ZigzagReport:
     window: int
     block_energies: np.ndarray
     mean_energy: float
-    delta: float
-    time_span: float
 
     def write_csv(self, fh):
         fh.write("block_start_k,energy\n")
@@ -29,7 +27,7 @@ class ZigzagReport:
         fh.write(f"# mean,{float(self.mean_energy)!r}\n")
 
 
-def zigzag_energy(iterates, window: int, delta: float = 1.0) -> ZigzagReport:
+def zigzag_energy(iterates, window: int) -> ZigzagReport:
     """Mean sideways motion per block of `window` consecutive steps.
 
     Each block spans iterates x(k)..x(k+W). The interior step directions
@@ -60,20 +58,11 @@ def zigzag_energy(iterates, window: int, delta: float = 1.0) -> ZigzagReport:
             total += float(np.linalg.norm(resid))
         energies.append(total / (window - 1))
     energies = np.asarray(energies)
-    return ZigzagReport(window, energies, float(energies.mean()), delta,
-                        n_steps * delta)
-
-
-def sup_envelope(series, k: int) -> float:
-    """max |series[k']| over k' >= k."""
-    tail = np.abs(np.asarray(series, dtype=float)[k:])
-    if tail.size == 0:
-        raise IndexError("k out of range")
-    return float(tail.max())
+    return ZigzagReport(window, energies, float(energies.mean()))
 
 
 def sup_envelope_all(series) -> np.ndarray:
-    """sup_envelope at every index, one backward pass."""
+    """max |series[k']| over k' >= k, at every index k, in one backward pass."""
     return np.maximum.accumulate(np.abs(np.asarray(series, dtype=float))[::-1])[::-1]
 
 

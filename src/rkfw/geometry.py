@@ -69,8 +69,6 @@ class PowerIterationError(RuntimeError):
 class Box:
     """Hypercube [-alpha, alpha]^n."""
 
-    kind = "box"
-
     def __init__(self, alpha: float, n: int):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -90,8 +88,6 @@ class Box:
 
 class L1Ball:
     """{x : ||x||_1 <= alpha}. Atoms are signed scaled basis vectors."""
-
-    kind = "l1_ball"
 
     def __init__(self, alpha: float, n: int):
         if alpha <= 0:
@@ -128,8 +124,6 @@ class VertexHull:
     barycentric_matrix and barycentric_inverse; both are None for other
     hulls, whose membership check raises when it is asked for.
     """
-
-    kind = "vertex_hull"
 
     def __init__(self, vertices):
         vs = np.asarray(vertices, dtype=float)
@@ -175,8 +169,6 @@ class VertexHull:
 
 class NuclearBall:
     """{X : sum of singular values <= alpha} over n-by-m matrices."""
-
-    kind = "nuclear_ball"
 
     def __init__(self, alpha: float, shape):
         if alpha <= 0:

@@ -115,19 +115,29 @@ def parse_config(text) -> ExperimentConfig:
 
 
 def render(cfg: ExperimentConfig) -> str:
-    """Inverse of parse_config: parse_config(render(cfg)) == cfg."""
+    """Inverse of parse_config: parse_config(render(cfg)) == cfg.
+
+    A string that would read back otherwise (one holding `#` or a line
+    break, one with surrounding blanks, or a tableau name holding a comma)
+    raises ValueError naming its key.
+    """
     lines = []
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)
         if v is None:
             continue
         if isinstance(v, bool):
-            v = "true" if v else "false"
+            text = "true" if v else "false"
         elif isinstance(v, tuple):
-            v = ",".join(repr(e) if isinstance(e, float) else str(e) for e in v)
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
+            text = ",".join(repr(e) if isinstance(e, float) else str(e) for e in v)
+        else:
+            text = repr(v) if isinstance(v, float) else str(v)
+        # numbers and flags read back exactly; strings are checked
+        if str in (f.type, _LIST_ELEMS.get(f.name)) and (
+                len(text.splitlines()) > 1
+                or VALUE_PARSERS[f.name](text.split("#", 1)[0].strip()) != v):
+            raise ValueError(f"{f.name} = {v!r} would not read back from a manifest")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -292,7 +302,7 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
             traj.write_iterates(fh)
     for w in cfg.windows:
         if len(traj.iterates) >= w + 1:
-            report = zigzag_energy(traj.iterates, w, delta=cfg.delta)
+            report = zigzag_energy(traj.iterates, w)
             with open(run_dir / f"zigzag_w{w}.csv", "w") as fh:
                 report.write_csv(fh)
     if cfg.ref_delta is not None:
@@ -317,6 +327,7 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Fan a config out into runs; write artifacts under cfg.out_dir."""
+    render(cfg)  # a value no manifest can hold fails here, before any run
     solver_cfgs = solver_configs(cfg)
     if cfg.data is not None and not os.path.exists(cfg.data):
         raise FileNotFoundError(f"data file not found: {cfg.data}")

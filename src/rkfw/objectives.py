@@ -1,43 +1,19 @@
-"""Objective oracles: value, analytic gradient, smoothness constants.
+"""Objective oracles: value and analytic gradient.
 
 The two quadratics also give along(x, d): the exact coefficients of f
 restricted to the line through x along d, with a bound on the rounding of
 evaluated differences; the line search reads its sign tests from them.
 
 All oracles are immutable and pure. check_gradient compares the analytic
-gradient against central finite differences and is used both as a test
-oracle and as a constructor-time sanity hook.
+gradient against central finite differences; the tests use it as an oracle.
 """
 
 import numpy as np
 
 __all__ = [
     "DistanceSq", "LeastSquares", "Logistic", "HuberScalar", "HuberMatrix",
-    "check_gradient", "top_eigenvalue",
+    "check_gradient",
 ]
-
-
-def top_eigenvalue(m, max_iter=5000, tol=1e-12):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    m = np.asarray(m, dtype=float)
-    v = m.sum(axis=1)
-    nv = np.linalg.norm(v)
-    if nv < 1e-300:
-        v = np.random.default_rng(0).standard_normal(m.shape[0])
-        nv = np.linalg.norm(v)
-    v = v / nv
-    lam = float(v @ (m @ v))
-    for _ in range(max_iter):
-        w = m @ v
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return 0.0
-        v = w / nw
-        lam_next = float(v @ (m @ v))
-        if abs(lam_next - lam) <= tol * max(abs(lam_next), 1.0):
-            return lam_next
-        lam = lam_next
-    return lam
 
 
 def _rounding_bound(resid, slope, terms, count):
@@ -58,9 +34,6 @@ def _rounding_bound(resid, slope, terms, count):
 
 class DistanceSq:
     """f(x) = 0.5 ||x - target||^2."""
-
-    kind = "distance_sq"
-    smoothness = 1.0
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
@@ -88,14 +61,11 @@ class DistanceSq:
 class LeastSquares:
     """f(x) = 0.5 ||G x - h||^2."""
 
-    kind = "least_squares"
-
     def __init__(self, g, h):
         self.g = np.asarray(g, dtype=float)
         self.h = np.asarray(h, dtype=float)
         if self.g.shape[0] != len(self.h):
             raise ValueError("row count of G must match length of h")
-        self.smoothness = top_eigenvalue(self.g.T @ self.g)
         self._g_norm = float(np.linalg.norm(self.g))
         self._h_norm = float(np.linalg.norm(self.h))
 
@@ -123,8 +93,6 @@ class LeastSquares:
 class Logistic:
     """Mean logistic loss (1/m) sum log(1 + exp(-y_i z_i^T x)), labels in {-1, 1}."""
 
-    kind = "logistic"
-
     def __init__(self, features, labels):
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float)
@@ -133,8 +101,6 @@ class Logistic:
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must lie in {-1, 1}")
         self.m = self.features.shape[0]
-        # L = ||Z||_2^2 / (4m); top singular value squared = top eig of Z^T Z
-        self.smoothness = top_eigenvalue(self.features.T @ self.features) / (4.0 * self.m)
 
     def _margins(self, x):
         return self.labels * (self.features @ np.asarray(x, dtype=float))
@@ -160,9 +126,6 @@ class HuberScalar:
     bounded by eps and 1-Lipschitz, which makes the interval problem's
     dynamics independent of eps until the iterate enters the quadratic cap.
     """
-
-    kind = "huber_scalar"
-    smoothness = 1.0
 
     def __init__(self, eps):
         if not 0 < eps:
@@ -202,8 +165,6 @@ class HuberMatrix:
     to rho and linear beyond.
     """
 
-    kind = "huber_matrix"
-
     def __init__(self, observed, ratings, rho, shape):
         obs = np.asarray(observed, dtype=int)
         if obs.ndim != 2 or obs.shape[1] != 2:
@@ -220,7 +181,6 @@ class HuberMatrix:
         if len(obs) and (self.rows.max() >= self.shape[0] or self.cols.max() >= self.shape[1]
                          or self.rows.min() < 0 or self.cols.min() < 0):
             raise ValueError("observed index outside shape")
-        self.smoothness = 1.0  # H'' <= 1
 
     def value(self, x):
         resid = np.asarray(x, dtype=float)[self.rows, self.cols] - self.ratings

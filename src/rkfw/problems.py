@@ -46,6 +46,8 @@ def make_triangle(x_star=(0.2, 0.3)) -> ProblemInstance:
     """
     hull = VertexHull(TRIANGLE_VERTICES)
     xs = np.asarray(x_star, dtype=float)
+    if xs.shape != (2,):
+        raise ValueError(f"x_star needs 2 coordinates, got {xs.size}")
     coeffs = hull.barycentric_inverse @ np.append(xs, 1.0)
     if np.any(coeffs <= 1e-12):
         raise ValueError("x_star must lie strictly inside the triangle")

@@ -222,7 +222,8 @@ def test_acceptance_10_gradient_checks():
     ]
     for objective, points in cases:
         worst = check_gradient(objective, points)
-        assert worst <= 1e-5, f"{objective.kind}: max gradient error {worst:.2e}"
+        name = type(objective).__name__
+        assert worst <= 1e-5, f"{name}: max gradient error {worst:.2e}"
 
 
 def test_acceptance_11_feasibility_preservation():

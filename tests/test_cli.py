@@ -87,7 +87,8 @@ def _flags(verb):
 def test_run_flags_are_the_config_keys(monkeypatch):
     keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"jobs"}
     assert _flags("solve") == keys
-    assert _flags("tae") == keys | {"out"}
+    # tae writes only its t,epsilon rows, so it takes no run-directory flag
+    assert _flags("tae") == keys - {"out_dir", "record_iterates", "windows"} | {"out"}
     seen = []
     monkeypatch.setattr(rkfw.cli, "run_experiment", lambda cfg: seen.append(cfg) or 0)
     assert main(["solve", "--problem", "triangle"]) == 0
@@ -108,6 +109,37 @@ def test_malformed_run_flag_exits_2(capsys):
         main(["solve", "--problem", "triangle", "--iters", "soon"])
     assert exc.value.code == 2
     assert "invalid int value: 'soon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tae", "--problem", "triangle", "--ref-delta", "0.01", "--out-dir", "x"],
+    ["tae", "--problem", "triangle", "--ref-delta", "0.01", "--record-iterates"],
+    ["tae", "--problem", "triangle", "--ref-delta", "0.01", "--windows", "1"],
+    ["zigzag", "--iterates", "it.txt", "--window", "3", "--delta", "7"],
+])
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_short_x_star_names_it(tmp_path, capsys):
+    assert main(["solve", "--problem", "triangle", "--x-star", "0.1",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "x_star needs 2 coordinates, got 1" in capsys.readouterr().err
+
+
+def test_zigzag_of_solve_dump_matches_solve_csv(tmp_path, capsys):
+    assert main(["solve", "--problem", "sensing", "--m", "20", "--n", "5",
+                 "--alpha", "4", "--tableau", "rk44", "--iters", "30",
+                 "--record-iterates", "--windows", "5",
+                 "--out-dir", str(tmp_path)]) == 0
+    run_dir = tmp_path / "rk44_plain"
+    capsys.readouterr()
+    assert main(["zigzag", "--iterates", str(run_dir / "iterates.txt"),
+                 "--window", "5"]) == 0
+    assert capsys.readouterr().out == (run_dir / "zigzag_w5.csv").read_text()
 
 
 def test_tae_requires_ref_delta(capsys):

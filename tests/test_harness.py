@@ -78,6 +78,20 @@ def test_render_parse_round_trip(cfg):
     assert parse_config(render(cfg)) == cfg
 
 
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", "runs#2"), ("data", "a#b.svm"), ("out_dir", "runs\nb"),
+    ("out_dir", " runs"), ("tableau", ("rk44 ",)),
+])
+def test_unreadable_string_fails_before_any_run(tmp_path, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(problem="logistic", **{key: value})
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        render(cfg)
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        run_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_svmlight_frozen_example(tmp_path):
     p = tmp_path / "a.svm"
     p.write_text("1 1:0.5 3:2.0\n-1 2:1.0\n")

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rkfw.objectives import (DistanceSq, HuberMatrix, HuberScalar,
-                             LeastSquares, Logistic, check_gradient,
-                             top_eigenvalue)
+                             LeastSquares, Logistic, check_gradient)
 
 rng0 = np.random.default_rng(0)
 G = rng0.standard_normal((12, 5))
@@ -30,16 +29,10 @@ def convexity_triples(objective, dim, n=1000, scale=3.0, shape=None, seed=3):
     return worst
 
 
-def test_top_eigenvalue_against_eigvalsh():
-    m = G.T @ G
-    assert top_eigenvalue(m) == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-9)
-
-
 def test_distance_sq_frozen():
     obj = DistanceSq([0.2, 0.3])
     assert obj.value([0.0, 1.0]) == pytest.approx(0.265)
     assert obj.gradient([0.0, 1.0]) == pytest.approx([-0.2, 0.7])
-    assert obj.smoothness == 1.0
 
 
 def test_least_squares_frozen():
@@ -47,7 +40,6 @@ def test_least_squares_frozen():
     # at x = 0 the gradient is -G^T h / 1 (factor from the 1/2 ||Gx-h||^2 form)
     assert obj.gradient(np.zeros(5)) == pytest.approx(-G.T @ H)
     assert obj.value(np.zeros(5)) == pytest.approx(0.5 * float(H @ H))
-    assert obj.smoothness == pytest.approx(np.linalg.eigvalsh(G.T @ G)[-1], rel=1e-9)
 
 
 def test_logistic_frozen_at_origin():
@@ -56,8 +48,6 @@ def test_logistic_frozen_at_origin():
     # gradient at 0: -(1/2m) sum y_i z_i
     expect = -(G.T @ LABELS) / (2.0 * len(LABELS))
     assert obj.gradient(np.zeros(5)) == pytest.approx(expect, abs=1e-12)
-    assert obj.smoothness == pytest.approx(
-        np.linalg.svd(G, compute_uv=False)[0] ** 2 / (4 * len(LABELS)), rel=1e-9)
 
 
 def test_logistic_rejects_bad_labels():

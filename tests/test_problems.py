@@ -24,6 +24,12 @@ def test_triangle_rejects_vertex_target():
         make_triangle((2.0, 2.0))
 
 
+@pytest.mark.parametrize("x_star", [(0.1,), ()])
+def test_triangle_rejects_wrong_length_target(x_star):
+    with pytest.raises(ValueError, match=f"x_star needs 2 coordinates, got {len(x_star)}"):
+        make_triangle(x_star)
+
+
 def test_scalar_huber_start_value():
     p = make_scalar_huber(0.25)
     # f(1) = eps - eps^2/2 in the linear branch
