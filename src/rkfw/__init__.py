@@ -12,8 +12,8 @@ from .diagnostics import (DecreaseBoundParams, ZigzagReport,
 from .flow import (FlowReference, absorption_time, closed_form_reference,
                    flow_bound, huber_flow_exact, reference_trajectory,
                    total_accumulation_error)
-from .geometry import (Box, DenseAtom, BasisAtom, L1Ball, NuclearBall,
-                       PowerIterationError, RankOneAtom, VertexHull)
+from .geometry import (Box, DenseAtom, L1Ball, NuclearBall,
+                       PowerIterationError, VertexHull)
 from .harness import (ExperimentConfig, build_problem, load_movielens,
                       load_svmlight, parse_config, render, run_experiment)
 from .objectives import (DistanceSq, HuberMatrix, HuberScalar, LeastSquares,
@@ -34,8 +34,8 @@ __all__ = [
     "ButcherTableau", "CertificateReport", "TABLEAU_NAMES", "make_tableau",
     "resolve_tableau", "load_tableau_file", "validate_tableau",
     "feasibility_certificate", "cancellability_margin",
-    "Box", "L1Ball", "VertexHull", "NuclearBall", "DenseAtom", "BasisAtom",
-    "RankOneAtom", "PowerIterationError",
+    "Box", "L1Ball", "VertexHull", "NuclearBall", "DenseAtom",
+    "PowerIterationError",
     "DistanceSq", "LeastSquares", "Logistic", "HuberScalar", "HuberMatrix",
     "check_gradient",
     "ProblemInstance", "make_triangle", "make_scalar_huber", "make_sensing",

@@ -46,7 +46,7 @@ def _add_run_flags(p: argparse.ArgumentParser, omit=()):
     """One flag per config key not in `omit`; an unset flag keeps the default."""
     group = p
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "jobs":  # a sweep flag; the problem parameters follow it
+        if f.name == "jobs":  # no flag (it only accepts 1); problem parameters follow
             group = p.add_argument_group("problem parameters")
             continue
         if f.name in omit:
@@ -103,10 +103,7 @@ def _cmd_tae(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.jobs is not None:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
-    return run_experiment(cfg)
+    return run_experiment(parse_config(Path(args.config).read_text(encoding="utf-8")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="config-driven multi-run")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(func=_cmd_sweep)
     return parser
 

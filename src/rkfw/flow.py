@@ -43,8 +43,6 @@ def absorption_time(u0: float, c: float) -> float:
 
 @dataclass
 class FlowReference:
-    source: str  # closed_form or fine_step_numeric
-    c: float
     delta_ref: float
     times: np.ndarray
     states: np.ndarray  # one row per sample
@@ -74,7 +72,7 @@ def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> F
                        max_iters=n_steps, record_iterates=True)
     traj = run(problem, cfg)
     states = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in traj.iterates])
-    return FlowReference("fine_step_numeric", c, delta_ref, traj.ts, states)
+    return FlowReference(delta_ref, traj.ts, states)
 
 
 def closed_form_reference(u0: float, c: float, delta_ref: float, t_end: float) -> FlowReference:
@@ -84,7 +82,7 @@ def closed_form_reference(u0: float, c: float, delta_ref: float, t_end: float) -
         raise ValueError("reference needs at least 10 samples; shrink delta_ref")
     times = np.arange(n_steps + 1) * delta_ref
     states = huber_flow_exact(u0, c, times).reshape(-1, 1)
-    return FlowReference("closed_form", c, delta_ref, times, states)
+    return FlowReference(delta_ref, times, states)
 
 
 def total_accumulation_error(traj, ref: FlowReference):

@@ -1,8 +1,8 @@
 """Feasible regions and their linear minimization oracles.
 
-Each region answers lmo(g): an extreme point minimizing <g, s>. Oracles
-return structured atoms (one-hot vectors, rank-1 matrices) so callers only
-pay for dense storage when they materialize.
+Each region answers lmo(g): an extreme point minimizing <g, s>, returned
+as a DenseAtom whose dense() gives the point as an array. Every caller
+materializes the answer at once.
 """
 
 from dataclasses import dataclass
@@ -10,47 +10,22 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Atom", "DenseAtom", "BasisAtom", "RankOneAtom",
-    "Box", "L1Ball", "VertexHull", "NuclearBall",
+    "DenseAtom", "Box", "L1Ball", "VertexHull", "NuclearBall",
     "PowerIterationError",
 ]
 
 
-class Atom:
-    """A structured extreme point. dense() materializes it."""
-
-    def dense(self):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class DenseAtom(Atom):
+class DenseAtom:
+    """An oracle answer; dense() returns its point as a float array.
+
+    Kept, rather than returning the array, only because bench/spans.py
+    times each answer by setting `dense` on it.
+    """
     point: np.ndarray
 
     def dense(self):
         return np.asarray(self.point, dtype=float)
-
-
-@dataclass(frozen=True)
-class BasisAtom(Atom):
-    index: int
-    value: float
-    n: int
-
-    def dense(self):
-        out = np.zeros(self.n)
-        out[self.index] = self.value
-        return out
-
-
-@dataclass(frozen=True)
-class RankOneAtom(Atom):
-    scale: float
-    left: np.ndarray
-    right: np.ndarray
-
-    def dense(self):
-        return self.scale * np.outer(self.left, self.right)
 
 
 def _sign(v):
@@ -75,7 +50,7 @@ class Box:
         self.alpha = float(alpha)
         self.n = int(n)
 
-    def lmo(self, g) -> Atom:
+    def lmo(self, g) -> DenseAtom:
         g = np.asarray(g, dtype=float)
         return DenseAtom(-self.alpha * _sign(g))
 
@@ -95,11 +70,13 @@ class L1Ball:
         self.alpha = float(alpha)
         self.n = int(n)
 
-    def lmo(self, g) -> Atom:
+    def lmo(self, g) -> DenseAtom:
         g = np.asarray(g, dtype=float)
         j = int(np.abs(g).argmax())  # ties break at the lowest index
+        s = np.zeros(self.n)
         # sign(0) := +1 as in _sign; a NaN entry takes -1
-        return BasisAtom(j, -self.alpha if g[j] >= 0.0 else self.alpha, self.n)
+        s[j] = -self.alpha if g[j] >= 0.0 else self.alpha
+        return DenseAtom(s)
 
     def membership_violation(self, x) -> float:
         return float(max(0.0, np.sum(np.abs(x)) - self.alpha))
@@ -142,7 +119,7 @@ class VertexHull:
         self.barycentric_matrix = m
         self.barycentric_inverse = np.linalg.solve(m, np.eye(len(vs)))
 
-    def lmo(self, g) -> Atom:
+    def lmo(self, g) -> DenseAtom:
         scores = self.vertices @ np.asarray(g, dtype=float)
         return DenseAtom(self.vertices[scores.argmin()].copy())
 
@@ -176,7 +153,7 @@ class NuclearBall:
         self.alpha = float(alpha)
         self.shape = (int(shape[0]), int(shape[1]))
 
-    def lmo(self, g, max_iter: int = 5000) -> Atom:
+    def lmo(self, g, max_iter: int = 5000) -> DenseAtom:
         g = np.asarray(g, dtype=float)
         if g.shape != self.shape:
             raise ValueError(f"gradient shape {g.shape} != region shape {self.shape}")
@@ -184,9 +161,9 @@ class NuclearBall:
             # zero functional: any atom minimizes; fixed tie-break
             u = np.zeros(self.shape[0]); u[0] = 1.0
             v = np.zeros(self.shape[1]); v[0] = 1.0
-            return RankOneAtom(-self.alpha, u, v)
-        u, v = _top_singular_pair(g, max_iter)
-        return RankOneAtom(-self.alpha, u, v)
+        else:
+            u, v = _top_singular_pair(g, max_iter)
+        return DenseAtom(-self.alpha * np.outer(u, v))
 
     def membership_violation(self, x) -> float:
         sv = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)

@@ -8,7 +8,6 @@ fed back through `sweep`, reproduces the run (timing column aside).
 import dataclasses
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +49,7 @@ class ExperimentConfig:
     record_iterates: bool = False
     ls_tol: float = 1e-10
     out_dir: str = "runs"
-    jobs: int = 1
+    jobs: int = 1  # only 1: sweeps run serially; kept so manifests rerun
     # problem parameters; each problem reads the subset it understands
     x_star: tuple = (0.2, 0.3)
     epsilon: float = 0.5
@@ -175,6 +174,8 @@ def load_svmlight(path):
                         f"line {lineno}: non-numeric index {idx_s!r}") from None
                 if idx < 1:
                     raise ValueError(f"line {lineno}: index must be >= 1")
+                if idx - 1 in entries:
+                    raise ValueError(f"line {lineno}: duplicate index {idx}")
                 try:
                     entries[idx - 1] = float(val_s)
                 except ValueError:
@@ -269,6 +270,8 @@ def solver_configs(cfg: ExperimentConfig) -> list:
         raise ValueError(f"unknown variant: {cfg.variant}")
     if any(w < 2 for w in cfg.windows):
         raise ValueError("window must be >= 2")
+    if cfg.jobs != 1:
+        raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
     solver_cfgs = []
     for name in cfg.tableau:
         sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
@@ -334,13 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     problem = build_problem(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    if cfg.jobs > 1 and len(solver_cfgs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_one_run, problem, sc, cfg, out_root)
-                       for sc in solver_cfgs]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
+    rows = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
     if len(rows) > 1:
         f_star_proxy = min(r["best_f"] for r in rows)
         with open(out_root / "summary.csv", "w") as fh:

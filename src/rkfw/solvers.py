@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tableau import ButcherTableau, stage_gammas, validate_tableau
+from .tableau import (ButcherTableau, stage_gammas, validate_schedule,
+                      validate_tableau)
 
 __all__ = [
     "SolverConfig", "Trajectory", "StageState",
@@ -43,10 +44,7 @@ class SolverConfig:
         bad = validate_tableau(self.tableau)
         if bad:
             raise ValueError(f"invalid tableau: {'; '.join(bad)}")
-        if self.c < 1.0:
-            raise ValueError("schedule constant c must be >= 1")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        validate_schedule(self.c, self.delta)
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in VARIANTS:
@@ -76,11 +74,7 @@ class Trajectory:
     step_norms: np.ndarray
     violations: np.ndarray
     wall_ns: np.ndarray
-    c: float
     delta: float
-    tableau_name: str
-    variant: str
-    label: str = ""
     f_star: Optional[float] = None
     iterates: Optional[list] = None
 
@@ -311,8 +305,6 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
 
     return Trajectory(
         ks=ks, ts=ts, fs=fs, gaps=gaps, step_norms=step_norms,
-        violations=violations, wall_ns=wall, c=cfg.c, delta=cfg.delta,
-        tableau_name=cfg.tableau.name, variant=cfg.variant,
-        label=getattr(problem, "label", ""), f_star=problem.f_star,
-        iterates=iterates,
+        violations=violations, wall_ns=wall, delta=cfg.delta,
+        f_star=problem.f_star, iterates=iterates,
     )

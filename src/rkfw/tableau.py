@@ -21,6 +21,7 @@ __all__ = [
     "resolve_tableau",
     "feasibility_certificate",
     "CertificateReport",
+    "validate_schedule",
     "cancellability_margin",
 ]
 
@@ -157,11 +158,17 @@ def resolve_tableau(name: str) -> ButcherTableau:
     return make_tableau(name)  # raises, listing the known names
 
 
+def validate_schedule(c: float, delta: float):
+    """Raise ValueError unless the schedule constant c >= 1 and delta > 0
+    (a NaN fails both)."""
+    if not c >= 1.0:
+        raise ValueError("schedule constant c must be >= 1")
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+
+
 @dataclass
 class CertificateReport:
-    tableau_name: str
-    c: float
-    delta: float
     z_by_k: list  # (k, z vector) pairs, k = 1..k_max
     all_in_unit_interval: bool
     sup_norm_monotone: bool
@@ -203,6 +210,7 @@ def feasibility_certificate(t: ButcherTableau, c: float, delta: float,
     bad = validate_tableau(t)
     if bad:
         raise ValueError(f"invalid tableau: {'; '.join(bad)}")
+    validate_schedule(c, delta)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     z_by_k = []
@@ -214,7 +222,7 @@ def feasibility_certificate(t: ButcherTableau, c: float, delta: float,
         sup.append(float(np.max(np.abs(z))))
     inside = all(np.all(z >= 0.0) and np.all(z <= 1.0) for _, z in z_by_k)
     monotone = all(sup[i + 1] <= sup[i] + 1e-12 for i in range(len(sup) - 1))
-    return CertificateReport(t.name, c, delta, z_by_k, inside, monotone)
+    return CertificateReport(z_by_k, inside, monotone)
 
 
 def cancellability_margin(weights) -> float:

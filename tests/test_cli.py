@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,26 @@ def test_certify_to_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,z_1"
     assert float(lines[1].split(",")[1]) == pytest.approx(2.0 / 3.0)
+
+
+@pytest.mark.parametrize("tableau, c, delta, message", [
+    ("rk44", "0.5", "-1", "schedule constant c must be >= 1"),
+    ("euler", "-1", "1", "schedule constant c must be >= 1"),
+    ("euler", "2", "0", "delta must be positive"),
+    ("euler", "nan", "1", "schedule constant c must be >= 1"),
+    ("euler", "2", "nan", "delta must be positive"),
+])
+def test_certify_rejects_what_solve_rejects(tmp_path, capsys, tableau, c, delta,
+                                            message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--tableau", tableau, "--c", c,
+                     "--delta", delta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert main(["solve", "--problem", "triangle", "--tableau", tableau,
+                 "--c", c, "--delta", delta, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_certify_unknown_tableau(capsys):
@@ -116,6 +137,7 @@ def test_malformed_run_flag_exits_2(capsys):
     ["tae", "--problem", "triangle", "--ref-delta", "0.01", "--record-iterates"],
     ["tae", "--problem", "triangle", "--ref-delta", "0.01", "--windows", "1"],
     ["zigzag", "--iterates", "it.txt", "--window", "3", "--delta", "7"],
+    ["sweep", "--config", "exp.cfg", "--jobs", "2"],
 ])
 def test_removed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -152,8 +174,21 @@ def test_sweep_runs_config(tmp_path):
     cfgfile.write_text(
         "problem = sensing\nm = 20\nn = 5\nalpha = 4.0\niters = 15\n"
         f"tableau = euler, rk44\nout_dir = {tmp_path / 'out'}\n")
-    assert main(["sweep", "--config", str(cfgfile), "--jobs", "2"]) == 0
+    assert main(["sweep", "--config", str(cfgfile)]) == 0
     assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_jobs_accepts_only_1(tmp_path, capsys):
+    base = ("problem = triangle\niters = 5\n"
+            f"tableau = euler, rk44\nout_dir = {tmp_path / 'out'}\n")
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(base + "jobs = 1\n")  # as every written manifest has
+    assert main(["sweep", "--config", str(cfgfile)]) == 0
+    assert "jobs = 1\n" in (tmp_path / "out" / "rk44_plain" / "manifest.txt").read_text()
+    cfgfile.write_text(base.replace("out\n", "out2\n") + "jobs = 2\n")
+    assert main(["sweep", "--config", str(cfgfile)]) == 1
+    assert "jobs must be 1" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
 
 
 def test_sweep_bad_config(tmp_path, capsys):

@@ -78,8 +78,7 @@ def test_reference_objective_decreases_on_triangle():
 
 def test_flow_reference_validates_times():
     with pytest.raises(ValueError, match="strictly increasing"):
-        FlowReference("closed_form", 2.0, 0.1,
-                      np.array([0.0, 0.1, 0.1]), np.zeros((3, 1)))
+        FlowReference(0.1, np.array([0.0, 0.1, 0.1]), np.zeros((3, 1)))
 
 
 def test_interpolate_rejects_out_of_span():

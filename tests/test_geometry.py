@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rkfw.geometry import (BasisAtom, Box, L1Ball, NuclearBall,
+from rkfw.geometry import (Box, DenseAtom, L1Ball, NuclearBall,
                            PowerIterationError, VertexHull)
 
 TRIANGLE = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -45,13 +45,13 @@ def test_box_lmo_minimizes_over_corners(g):
 def test_l1_lmo_frozen():
     ball = L1Ball(2.0, 4)
     atom = ball.lmo([0.5, -3.0, 1.0, 0.0])
-    assert isinstance(atom, BasisAtom)
+    assert isinstance(atom, DenseAtom)
     assert np.array_equal(atom.dense(), [0.0, 2.0, 0.0, 0.0])
 
 
 def test_l1_lmo_tie_breaks_low_index():
     atom = L1Ball(1.0, 3).lmo([1.0, 1.0, -1.0])
-    assert atom.index == 0 and atom.value == -1.0
+    assert np.array_equal(atom.dense(), [-1.0, 0.0, 0.0])
 
 
 @given(vectors)
@@ -207,7 +207,7 @@ def test_power_iteration_failure_carries_residual():
 
 
 def test_atom_dense_shapes():
-    assert BasisAtom(1, -2.0, 4).dense().shape == (4,)
+    assert L1Ball(2.0, 4).lmo([0, 1, 0, 0]).dense().shape == (4,)
     assert Box(1.0, 3).lmo([1, 1, 1]).dense().shape == (3,)
     assert NuclearBall(1.0, (2, 5)).lmo(np.ones((2, 5))).dense().shape == (2, 5)
 

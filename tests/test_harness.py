@@ -130,6 +130,9 @@ def test_svmlight_errors_carry_line_numbers(tmp_path):
     p.write_text("1 1\n")
     with pytest.raises(ValueError, match="line 1: expected idx:val"):
         load_svmlight(p)
+    p.write_text("-1 2:1.0\n1 3:1.0 3:2.0\n")
+    with pytest.raises(ValueError, match="line 2: duplicate index 3"):
+        load_svmlight(p)
 
 
 def test_svmlight_empty_file_warns(tmp_path):
@@ -285,16 +288,14 @@ def test_manifest_rerun_reproduces_csvs(tmp_path):
     assert (d / "iterates.txt").read_text() == first_it
 
 
-def test_concurrent_sweep_matches_serial(tmp_path):
-    base = dict(problem="sensing", m=20, n=5, alpha=4.0, iters=20,
-                tableau=("euler", "rk44"), windows=(5,))
-    run_experiment(ExperimentConfig(out_dir=str(tmp_path / "serial"), **base))
-    run_experiment(ExperimentConfig(out_dir=str(tmp_path / "par"), jobs=2,
-                                    **base))
-
-    def strip_wall(path):
-        return ["," .join(ln.split(",")[:6]) for ln in path.read_text().splitlines()]
-
+def test_completion_end_to_end(tmp_path):
+    """euler and rk44 through the nuclear-norm oracle on the bundled ratings."""
+    run_experiment(ExperimentConfig(
+        problem="completion", data=os.path.join(FIXTURES, "ratings20.tsv"),
+        tableau=("euler", "rk44"), iters=30, out_dir=str(tmp_path)))
     for name in ("euler_plain", "rk44_plain"):
-        assert (strip_wall(tmp_path / "par" / name / "traj.csv")
-                == strip_wall(tmp_path / "serial" / name / "traj.csv"))
+        rows = np.loadtxt(tmp_path / name / "traj.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert rows.shape == (31, 7) and np.all(np.isfinite(rows))
+    last = (tmp_path / "rk44_plain" / "traj.csv").read_text().splitlines()[-1]
+    assert last.split(",")[:3] == ["30", "30.0", "88.51943267324933"]
