@@ -2,6 +2,7 @@
 and the per-step decrease bound check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ def zigzag_energy(iterates, window: int) -> ZigzagReport:
             else:
                 # Q d = d - dbar (dbar.d)/|dbar|^2, applied via inner products
                 resid = d - dbar * (float(dbar @ d) / nrm2)
-            total += float(np.linalg.norm(resid))
+            total += math.sqrt(resid.dot(resid))  # np.linalg.norm, without its overhead
         energies.append(total / (window - 1))
     energies = np.asarray(energies)
     return ZigzagReport(window, energies, float(energies.mean()))

@@ -62,6 +62,39 @@ def test_logistic_extreme_margins_stay_finite():
         assert np.all(np.isfinite(obj.gradient(x)))
 
 
+class FixedMargins(Logistic):
+    """Identity features and unit labels whose margins are exactly the
+    supplied array, signed zeros included."""
+
+    def __init__(self, margins):
+        super().__init__(np.eye(len(margins)), np.ones(len(margins)))
+        self.margins = margins
+
+    def _margins(self, x):
+        return self.margins
+
+
+def masked_sigmoid_gradient(obj, t):
+    """Logistic gradient with sigmoid(-t) taken by the masked three-exp
+    formula, the reference for the single-exp one."""
+    s = np.empty_like(t)
+    pos = t >= 0
+    s[pos] = np.exp(-t[pos]) / (1.0 + np.exp(-t[pos]))
+    s[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
+    return -(obj.features.T @ (obj.labels * s)) / obj.m
+
+
+def test_logistic_single_exp_sigmoid_is_bit_identical():
+    rng = np.random.default_rng(11)
+    tails = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.0, -36.0,
+                      709.0, -709.0, 746.0, -746.0, np.inf, -np.inf])
+    for trial in range(200):
+        t = rng.standard_normal(64) * 10.0 ** rng.uniform(-3, 3)
+        t[rng.integers(0, 64, len(tails))] = tails
+        obj = FixedMargins(t)
+        assert np.array_equal(obj.gradient(None), masked_sigmoid_gradient(obj, t)), trial
+
+
 def test_huber_scalar_frozen():
     obj = HuberScalar(0.01)
     assert obj.value([0.5]) == pytest.approx(0.00495)
@@ -155,3 +188,18 @@ def test_least_squares_descent_direction(g):
     if np.linalg.norm(grad) > 1e-9:
         step = -1e-8 * grad / np.linalg.norm(grad)
         assert obj.value(x + step) <= obj.value(x) + 1e-15
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 1e3]), st.sampled_from([0.0, 1e-8, 1.0]))
+def test_least_squares_gram_gradient_matches_residual_form(m, n, seed, x_scale, misfit):
+    # tall and wide G; misfit 0 or 1e-8 gives near-fit h = G x, where the
+    # gradient is far below the terms summed into it
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, n))
+    x = x_scale * rng.standard_normal(n)
+    h = g @ x + misfit * rng.standard_normal(m)
+    obj = LeastSquares(g, h)
+    want = g.T @ (g @ x - h)
+    scale = np.linalg.norm(g.T @ g) * np.linalg.norm(x) + np.linalg.norm(g.T @ h)
+    assert np.max(np.abs(obj.gradient(x) - want)) <= 1e-12 * scale

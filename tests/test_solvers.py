@@ -295,6 +295,34 @@ def test_line_search_model_and_evaluated_runs_agree(name):
     assert np.array_equal(a.step_norms, b.step_norms)
 
 
+class ResidualGradient(LeastSquares):
+    """LeastSquares with its gradient taken as G^T (G x - h), the residual
+    form the Gram gradient replaced."""
+
+    def gradient(self, x):
+        return self.g.T @ (self.g @ np.asarray(x, dtype=float) - self.h)
+
+
+@pytest.mark.parametrize("name,variant", [
+    *[(name, "plain") for name in TABLEAU_NAMES],
+    ("euler", "line_search"), ("rk44", "line_search"), ("euler", "momentum"),
+])
+def test_gram_gradient_moves_only_the_gaps(name, variant):
+    # the l1 oracle reads only the place and sign of the largest |gradient|
+    # entry and the line search only value and along, so the Gram gradient's
+    # last-digit changes reach the recorded gaps alone
+    p = make_sensing(seed=3)
+    ref = ProblemInstance(ResidualGradient(p.objective.g, p.objective.h), p.region,
+                          p.x0, None, "residual")
+    cfg = cfg_for(name, variant=variant, max_iters=300, record_iterates=True)
+    a, b = run(p, cfg), run(ref, cfg)
+    assert np.array_equal(a.fs, b.fs)
+    assert np.array_equal(a.step_norms, b.step_norms)
+    assert np.array_equal(a.violations, b.violations)
+    assert np.array_equal(np.array(a.iterates), np.array(b.iterates))
+    np.testing.assert_allclose(a.gaps, b.gaps, rtol=1e-12, atol=0.0)
+
+
 def test_momentum_hand_step():
     p = scalar_box_problem()
     x_next, z_next, v_next = momentum_step(
