@@ -6,6 +6,8 @@ objectives, the multistage solver loop with its variants, and diagnostics
 (zig-zag energy, rate slopes, flow references) for studying trajectories.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: harness writes it into manifests
+
 from .diagnostics import (DecreaseBoundParams, ZigzagReport,
                           decrease_bound_check, fit_rate_slope,
                           sup_envelope_all, zigzag_energy)
@@ -27,8 +29,6 @@ from .tableau import (ButcherTableau, CertificateReport, TABLEAU_NAMES,
                       cancellability_margin, feasibility_certificate,
                       load_tableau_file, make_tableau, resolve_tableau,
                       validate_tableau)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ButcherTableau", "CertificateReport", "TABLEAU_NAMES", "make_tableau",

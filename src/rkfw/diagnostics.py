@@ -39,9 +39,10 @@ def zigzag_energy(iterates, window: int) -> ZigzagReport:
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    pts = [np.asarray(x, dtype=float).reshape(-1) for x in iterates]
+    pts = np.asarray(iterates, dtype=float)
     if len(pts) < window + 1:
         raise ValueError(f"need at least {window + 1} iterates, got {len(pts)}")
+    pts = pts.reshape(len(pts), -1)
     n_steps = len(pts) - 1
     energies = []
     for k0 in range(0, n_steps - window + 1, window):

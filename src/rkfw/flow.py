@@ -15,7 +15,8 @@ from .tableau import make_tableau
 
 __all__ = [
     "flow_bound", "huber_flow_exact", "absorption_time", "FlowReference",
-    "reference_trajectory", "closed_form_reference", "total_accumulation_error",
+    "reference_steps", "reference_trajectory", "closed_form_reference",
+    "total_accumulation_error",
 ]
 
 
@@ -61,25 +62,32 @@ class FlowReference:
         return np.stack(cols, axis=1)
 
 
-def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> FlowReference:
-    """Numeric flow reference: four-stage run at a fine step, every sample kept."""
-    if delta_ref <= 0:
+def reference_steps(delta_ref: float, t_end: float) -> int:
+    """Steps of a reference grid of spacing delta_ref over [0, t_end].
+
+    Raises ValueError unless delta_ref > 0 (a NaN fails) and the grid has
+    at least 10 steps.
+    """
+    if not delta_ref > 0:
         raise ValueError("delta_ref must be positive")
     n_steps = int(round(t_end / delta_ref))
     if n_steps < 10:
         raise ValueError("reference needs at least 10 samples; shrink delta_ref")
+    return n_steps
+
+
+def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> FlowReference:
+    """Numeric flow reference: four-stage run at a fine step, every sample kept."""
+    n_steps = reference_steps(delta_ref, t_end)
     cfg = SolverConfig(tableau=make_tableau("rk44"), c=c, delta=delta_ref,
                        max_iters=n_steps, record_iterates=True)
     traj = run(problem, cfg)
-    states = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in traj.iterates])
-    return FlowReference(delta_ref, traj.ts, states)
+    return FlowReference(delta_ref, traj.ts, traj.iterates.reshape(n_steps + 1, -1))
 
 
 def closed_form_reference(u0: float, c: float, delta_ref: float, t_end: float) -> FlowReference:
     """Exact scalar reference sampled on a uniform grid."""
-    n_steps = int(round(t_end / delta_ref))
-    if n_steps < 10:
-        raise ValueError("reference needs at least 10 samples; shrink delta_ref")
+    n_steps = reference_steps(delta_ref, t_end)
     times = np.arange(n_steps + 1) * delta_ref
     states = huber_flow_exact(u0, c, times).reshape(-1, 1)
     return FlowReference(delta_ref, times, states)
@@ -102,7 +110,7 @@ def total_accumulation_error(traj, ref: FlowReference):
         on_grid = np.all(np.isclose(times[:, None], ref.times[None, :], atol=1e-12).any(axis=1))
         if not on_grid:
             raise ValueError("reference step must be <= trajectory step / 10")
-    states = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in traj.iterates])
+    states = traj.iterates.reshape(len(times), -1)
     ref_states = ref.interpolate(times)
     errs = np.linalg.norm(states - ref_states, axis=1)
     return list(zip(times.tolist(), errs.tolist()))

@@ -187,17 +187,19 @@ def _top_singular_pair(g, max_iter=5000, tol=1e-10):
         v = np.random.default_rng(0).standard_normal(g.shape[1])
         nv = np.linalg.norm(v)
     v = v / nv
-    rho = float(v @ (gtg @ v))
+    w = gtg @ v  # the product for the quotient is also the next step's
+    rho = float(v @ w)
     rel = np.inf
     for it in range(1, max_iter + 1):
-        w = gtg @ v
         nw = np.linalg.norm(w)
         if nw < 1e-300:
             v = np.random.default_rng(0).standard_normal(g.shape[1])
             v /= np.linalg.norm(v)
+            w = gtg @ v
             continue
         v = w / nw
-        rho_next = float(v @ (gtg @ v))
+        w = gtg @ v
+        rho_next = float(v @ w)
         rel = abs(rho_next - rho) / max(abs(rho_next), 1e-300)
         rho = rho_next
         if rel < tol:

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import zigzag_energy
-from .flow import reference_trajectory, total_accumulation_error
+from .flow import reference_steps, reference_trajectory, total_accumulation_error
 from .problems import (make_logistic, make_matrix_completion, make_scalar_huber,
                        make_sensing, make_sensing_logistic, make_triangle)
 from .solvers import VARIANTS, SolverConfig, run
@@ -256,14 +257,6 @@ def build_problem(cfg: ExperimentConfig):
     raise ValueError(f"unknown problem: {name} (expected one of {', '.join(PROBLEM_NAMES)})")
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("rkfw")
-    except Exception:
-        return "0+unknown"
-
-
 def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
     if cfg.variant not in VARIANTS:
@@ -272,12 +265,15 @@ def solver_configs(cfg: ExperimentConfig) -> list:
         raise ValueError("window must be >= 2")
     if cfg.jobs != 1:
         raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
+    if cfg.ref_delta is not None:
+        reference_steps(cfg.ref_delta, cfg.iters * cfg.delta)
     solver_cfgs = []
     for name in cfg.tableau:
         sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
                           delta=cfg.delta, max_iters=cfg.iters,
                           variant=cfg.variant, ls_tol=cfg.ls_tol,
-                          record_iterates=True)
+                          record_iterates=(cfg.record_iterates or bool(cfg.windows)
+                                           or cfg.ref_delta is not None))
         sc.validate()
         solver_cfgs.append(sc)
     if not solver_cfgs:
@@ -309,13 +305,13 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
             with open(run_dir / f"zigzag_w{w}.csv", "w") as fh:
                 report.write_csv(fh)
     if cfg.ref_delta is not None:
-        with open(run_dir / "tae.csv", "w") as fh:
-            fh.write(tae_csv(problem, traj, cfg))
+        # rows first, file second: a failed reference leaves no empty tae.csv
+        (run_dir / "tae.csv").write_text(tae_csv(problem, traj, cfg))
     # manifest pins this single run: same config, tableau narrowed to one
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))
     with open(run_dir / "manifest.txt", "w") as fh:
-        fh.write(f"# rkfw {_version()}\n")
+        fh.write(f"# rkfw {__version__}\n")
         fh.write(render(single))
     return {
         "run": run_dir.name,

@@ -77,7 +77,7 @@ class Trajectory:
     wall_ns: np.ndarray
     delta: float
     f_star: Optional[float] = None
-    iterates: Optional[list] = None
+    iterates: Optional[np.ndarray] = None  # row k is x_k, in x0's shape
 
     def h(self) -> np.ndarray:
         """Objective above the known optimum."""
@@ -96,9 +96,8 @@ class Trajectory:
     def write_iterates(self, fh):
         if self.iterates is None:
             raise ValueError("run did not record iterates")
-        for x in self.iterates:
-            fh.write(" ".join(repr(float(v)) for v in np.asarray(x).reshape(-1)))
-            fh.write("\n")
+        for row in self.iterates.reshape(len(self.iterates), -1).tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
@@ -266,7 +265,7 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
     step_norms = np.zeros(n_rows)
     violations = np.empty(n_rows)
     wall = np.zeros(n_rows, dtype=np.int64)
-    iterates = [] if cfg.record_iterates else None
+    iterates = np.empty((n_rows, *x.shape)) if cfg.record_iterates else None
 
     if cfg.variant == "momentum":
         z = np.asarray(obj.gradient(x), dtype=float)
@@ -277,7 +276,7 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
         fs[k] = obj.value(x)
         violations[k] = region.membership_violation(x)
         if iterates is not None:
-            iterates.append(x)  # every step builds a new x; none is modified
+            iterates[k] = x
         if k == cfg.max_iters:
             gaps[k] = _row_gap(x, problem)
             wall[k] = time.perf_counter_ns() - t0

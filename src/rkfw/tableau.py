@@ -102,6 +102,8 @@ def make_tableau(name: str) -> ButcherTableau:
 
 def validate_tableau(t: ButcherTableau) -> list:
     """Return a list of violated structural constraints, empty when valid."""
+    if not all(np.isfinite(v).all() for v in (t.a, t.weights, t.offsets)):
+        return ["entries must be finite"]
     out = []
     q = t.q
     if t.a.shape != (q, q):

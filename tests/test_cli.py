@@ -8,6 +8,7 @@ import pytest
 import rkfw.cli
 from rkfw.cli import build_parser, main
 from rkfw.harness import ExperimentConfig
+from rkfw.tableau import load_tableau_file
 
 
 def test_certify_stdout_and_exit_codes(capsys):
@@ -48,6 +49,36 @@ def test_certify_rejects_what_solve_rejects(tmp_path, capsys, tableau, c, delta,
     assert main(["solve", "--problem", "triangle", "--tableau", tableau,
                  "--c", c, "--delta", delta, "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "2\n0 0\nnan 0\n0 1\n0 0.5\n",      # nan in A
+    "2\n0 0\n0.5 0\ninf -inf\n0 0.5\n",  # weights that "sum" to nan
+], ids=["nan-in-a", "inf-weights"])
+def test_non_finite_tableau_file_fails_before_compute(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text(text)
+    message = "t.txt: invalid tableau: entries must be finite"
+    with pytest.raises(ValueError, match=message):
+        load_tableau_file("t.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--tableau", "t.txt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert main(["solve", "--problem", "triangle", "--tableau", "t.txt",
+                     "--out-dir", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
+
+@pytest.mark.parametrize("ref_delta", ["-1", "0", "nan"])
+def test_bad_ref_delta_fails_before_any_run(tmp_path, monkeypatch, capsys, ref_delta):
+    monkeypatch.chdir(tmp_path)
+    for verb in ("solve", "tae"):
+        assert main([verb, "--problem", "triangle", "--ref-delta", ref_delta]) == 1
+        assert capsys.readouterr().err == "error: delta_ref must be positive\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_unknown_tableau(capsys):

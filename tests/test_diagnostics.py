@@ -78,6 +78,18 @@ def test_zigzag_window_two_single_interior_step():
     assert rep.block_energies[0] == pytest.approx(1.0)
 
 
+def test_zigzag_list_and_stacked_array_agree_bitwise():
+    # a run's record (one array, a row per k) and the same rows as a list of
+    # separate matrices must give the same energies to the last bit
+    rng = np.random.default_rng(11)
+    rows = np.cumsum(rng.standard_normal((61, 4, 3)), axis=0)
+    for w in (2, 5, 20):
+        a = zigzag_energy([r.copy() for r in rows], w)
+        b = zigzag_energy(rows, w)
+        assert np.array_equal(a.block_energies, b.block_energies)
+        assert a.mean_energy == b.mean_energy
+
+
 def test_zigzag_csv():
     buf = io.StringIO()
     zigzag_energy(STAIR, window=3).write_csv(buf)

@@ -66,6 +66,14 @@ def test_reference_needs_enough_samples():
         closed_form_reference(1.0, 2.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("delta_ref", [-1.0, 0.0, float("nan")])
+def test_reference_rejects_nonpositive_step(delta_ref):
+    with pytest.raises(ValueError, match="delta_ref must be positive"):
+        reference_trajectory(make_scalar_huber(0.1), 2.0, delta_ref, 1.0)
+    with pytest.raises(ValueError, match="delta_ref must be positive"):
+        closed_form_reference(1.0, 2.0, delta_ref, 1.0)
+
+
 def test_reference_objective_decreases_on_triangle():
     p = make_triangle()
     ref = reference_trajectory(p, c=2.0, delta_ref=0.01, t_end=2.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rkfw.geometry import (Box, DenseAtom, L1Ball, NuclearBall,
-                           PowerIterationError, VertexHull)
+                           PowerIterationError, VertexHull, _top_singular_pair)
 
 TRIANGLE = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -204,6 +204,65 @@ def test_power_iteration_failure_carries_residual():
     with pytest.raises(PowerIterationError) as exc:
         NuclearBall(1.0, (2, 2)).lmo(g, max_iter=1)
     assert exc.value.residual > 1e-10
+
+
+def two_product_power_iteration(g, max_iter=5000, tol=1e-10):
+    """The power iteration as it was before the quotient's Gram product was
+    reused: gtg @ v computed once for the step and again for the quotient."""
+    gtg = g.T @ g
+    v = gtg.sum(axis=1)
+    nv = np.linalg.norm(v)
+    if nv < 1e-300:
+        v = np.random.default_rng(0).standard_normal(g.shape[1])
+        nv = np.linalg.norm(v)
+    v = v / nv
+    rho = float(v @ (gtg @ v))
+    rel = np.inf
+    for _ in range(1, max_iter + 1):
+        w = gtg @ v
+        nw = np.linalg.norm(w)
+        if nw < 1e-300:
+            v = np.random.default_rng(0).standard_normal(g.shape[1])
+            v /= np.linalg.norm(v)
+            continue
+        v = w / nw
+        rho_next = float(v @ (gtg @ v))
+        rel = abs(rho_next - rho) / max(abs(rho_next), 1e-300)
+        rho = rho_next
+        if rel < tol:
+            u = g @ v
+            return u / np.linalg.norm(u), v
+    raise PowerIterationError(rel, max_iter)
+
+
+def _close_pair(seed, ratio=0.99):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((7, 6)))
+    return (u * [1.0, ratio, 0.5, 0.3, 0.2, 0.1]) @ v.T
+
+
+@pytest.mark.parametrize("g", [
+    *[np.random.default_rng(seed).standard_normal(shape)
+      for seed, shape in ((1, (20, 30)), (2, (30, 20)), (3, (1, 5)), (4, (8, 8)))],
+    _close_pair(5), _close_pair(6),
+    np.array([[1.0, -1.0], [2.0, -2.0]]),  # g^T g row sums vanish: random start
+], ids=["20x30", "30x20", "1x5", "8x8", "close-pair-5", "close-pair-6", "random-start"])
+def test_power_iteration_reuses_its_gram_product_bitwise(g):
+    u, v = _top_singular_pair(g)
+    u_ref, v_ref = two_product_power_iteration(g)
+    assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
+
+
+def test_power_iteration_restart_in_loop_fails_like_two_products():
+    # g^T g underflows to subnormals, so every step restarts from the seeded
+    # random vector and neither loop ever forms a quotient
+    g = 1e-160 * np.array([[1.0, -1.0], [2.0, -3.0]])
+    with pytest.raises(PowerIterationError) as new:
+        _top_singular_pair(g, max_iter=40)
+    with pytest.raises(PowerIterationError) as old:
+        two_product_power_iteration(g, max_iter=40)
+    assert str(new.value) == str(old.value)
 
 
 def test_atom_dense_shapes():

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import rkfw
+import rkfw.harness
 from rkfw.harness import (ExperimentConfig, build_problem, load_movielens,
                           load_svmlight, parse_config, render, run_experiment)
 
@@ -263,6 +265,46 @@ def test_run_experiment_zigzag_tae_and_iterates(tmp_path):
     tae = (d / "tae.csv").read_text().splitlines()
     assert tae[0] == "t,epsilon"
     assert len(tae) == 42
+
+
+@pytest.mark.parametrize("keys, recorded", [
+    ("windows =", False),
+    ("windows =\nrecord_iterates = true", True),
+    ("windows = 5", True),
+    ("windows =\nref_delta = 0.01", True),
+])
+def test_run_records_iterates_only_when_read(tmp_path, monkeypatch, keys, recorded):
+    seen = []
+    real_run = rkfw.harness.run
+
+    def spy(problem, cfg):
+        seen.append(cfg.record_iterates)
+        return real_run(problem, cfg)
+
+    monkeypatch.setattr(rkfw.harness, "run", spy)
+    run_experiment(parse_config(
+        "problem = triangle\ndelta = 0.1\niters = 20\ntableau = euler, rk44\n"
+        f"out_dir = {tmp_path}\n{keys}\n"))
+    assert seen == [recorded, recorded]
+
+
+def test_manifest_names_the_package_version(tmp_path):
+    run_experiment(ExperimentConfig(problem="triangle", iters=3, out_dir=str(tmp_path)))
+    manifest = (tmp_path / "euler_plain" / "manifest.txt").read_text()
+    assert manifest.startswith(f"# rkfw {rkfw.__version__}\n")
+
+
+def test_failed_reference_leaves_no_tae_csv(tmp_path, monkeypatch):
+    def failing_reference(*args, **kwargs):
+        raise ArithmeticError("reference failed")
+
+    monkeypatch.setattr(rkfw.harness, "reference_trajectory", failing_reference)
+    cfg = ExperimentConfig(problem="triangle", iters=20, delta=0.1, ref_delta=0.01,
+                           out_dir=str(tmp_path))
+    with pytest.raises(ArithmeticError, match="reference failed"):
+        run_experiment(cfg)
+    assert (tmp_path / "euler_plain" / "traj.csv").exists()
+    assert not (tmp_path / "euler_plain" / "tae.csv").exists()
 
 
 def test_manifest_rerun_reproduces_csvs(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkfw.geometry import Box, DenseAtom
+from rkfw.harness import ExperimentConfig, build_problem
 from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
                            make_triangle)
@@ -410,6 +412,22 @@ def test_iterates_dump_round_trip(tmp_path):
     bare = run(p, cfg_for("euler", max_iters=2))
     with pytest.raises(ValueError, match="record"):
         bare.write_iterates(io.StringIO())
+
+
+@pytest.mark.parametrize("problem", [
+    make_sensing(seed=5),
+    build_problem(ExperimentConfig(problem="completion", data=os.path.join(
+        os.path.dirname(__file__), "fixtures", "ratings20.tsv"))),
+], ids=["sensing", "completion"])
+def test_record_is_one_array_of_replayable_rows(problem):
+    cfg = cfg_for("rk44", max_iters=12, record_iterates=True)
+    traj = run(problem, cfg)
+    assert type(traj.iterates) is np.ndarray
+    assert traj.iterates.shape == (cfg.max_iters + 1, *np.shape(problem.x0))
+    assert np.array_equal(traj.iterates[0], problem.x0)
+    for k in range(cfg.max_iters):
+        x_next, _ = rk_fw_step(traj.iterates[k], k, cfg, problem)
+        assert np.array_equal(x_next, traj.iterates[k + 1]), f"replay differs at k={k}"
 
 
 def test_schedule_shrinks_steps():

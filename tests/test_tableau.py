@@ -130,6 +130,17 @@ def test_validate_catches_offsets():
     assert any("offsets must lie" in v for v in validate_tableau(t))
 
 
+@pytest.mark.parametrize("a, weights, offsets", [
+    ([[0.0, 0.0], [np.nan, 0.0]], [0.0, 1.0], [0.0, 0.5]),
+    ([[0.0, 0.0], [0.5, 0.0]], [np.inf, -np.inf], [0.0, 0.5]),
+    ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, np.inf]),
+    ([[np.nan]], [0.0, 1.0], [0.0, 0.5]),  # reported ahead of the shape
+], ids=["nan-in-a", "inf-weights", "inf-offset", "nan-wrong-shape"])
+def test_validate_catches_non_finite_entries(a, weights, offsets):
+    t = ButcherTableau("bad", a, weights, offsets)
+    assert validate_tableau(t) == ["entries must be finite"]
+
+
 def test_certificate_rejects_invalid_tableau():
     t = ButcherTableau("bad", [[0.0, 1.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
     with pytest.raises(ValueError, match="invalid tableau"):
