@@ -15,8 +15,8 @@ from .tableau import make_tableau
 
 __all__ = [
     "flow_bound", "huber_flow_exact", "absorption_time", "FlowReference",
-    "reference_steps", "reference_trajectory", "closed_form_reference",
-    "total_accumulation_error",
+    "reference_steps", "check_reference", "reference_trajectory",
+    "closed_form_reference", "total_accumulation_error",
 ]
 
 
@@ -76,6 +76,27 @@ def reference_steps(delta_ref: float, t_end: float) -> int:
     return n_steps
 
 
+def _check_grid(times, delta, ref_times, delta_ref):
+    """Raise ValueError unless a reference sampled at ref_times, step
+    delta_ref, can measure a trajectory sampled at times, step delta."""
+    if times[-1] > ref_times[-1] + 1e-12:
+        raise ValueError("reference does not cover the trajectory time span")
+    if delta_ref > delta / 10 + 1e-15:
+        on_grid = np.all(np.isclose(times[:, None], ref_times[None, :], atol=1e-12).any(axis=1))
+        if not on_grid:
+            raise ValueError("reference step must be <= trajectory step / 10")
+
+
+def check_reference(delta_ref: float, delta: float, iters: int) -> int:
+    """reference_steps for a run of iters steps of size delta, plus the
+    rules total_accumulation_error applies to the pair, decided before
+    either is computed: the times are the ones run records for both."""
+    n_steps = reference_steps(delta_ref, iters * delta)
+    _check_grid(np.arange(iters + 1) * delta, delta,
+                np.arange(n_steps + 1) * delta_ref, delta_ref)
+    return n_steps
+
+
 def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> FlowReference:
     """Numeric flow reference: four-stage run at a fine step, every sample kept."""
     n_steps = reference_steps(delta_ref, t_end)
@@ -104,12 +125,7 @@ def total_accumulation_error(traj, ref: FlowReference):
     if traj.iterates is None:
         raise ValueError("trajectory has no recorded iterates")
     times = traj.ts
-    if times[-1] > ref.times[-1] + 1e-12:
-        raise ValueError("reference does not cover the trajectory time span")
-    if ref.delta_ref > traj.delta / 10 + 1e-15:
-        on_grid = np.all(np.isclose(times[:, None], ref.times[None, :], atol=1e-12).any(axis=1))
-        if not on_grid:
-            raise ValueError("reference step must be <= trajectory step / 10")
+    _check_grid(times, traj.delta, ref.times, ref.delta_ref)
     states = traj.iterates.reshape(len(times), -1)
     ref_states = ref.interpolate(times)
     errs = np.linalg.norm(states - ref_states, axis=1)

@@ -5,6 +5,7 @@ as a DenseAtom whose dense() gives the point as an array. Every caller
 materializes the answer at once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,7 @@ class L1Ball:
         return DenseAtom(s)
 
     def membership_violation(self, x) -> float:
-        return float(max(0.0, np.sum(np.abs(x)) - self.alpha))
+        return float(max(0.0, np.abs(x).sum() - self.alpha))
 
     def diameter(self) -> float:
         return 2.0 * self.alpha
@@ -88,7 +89,8 @@ class L1Ball:
 def _barycentric_violation(m, coeffs, rhs):
     """How far barycentric coefficients are from certifying membership:
     the most negative coefficient or the solve's residual."""
-    recon = float(np.linalg.norm(m @ coeffs - rhs))
+    r = m @ coeffs - rhs
+    recon = math.sqrt(r.dot(r))  # np.linalg.norm(r), without its overhead
     return float(max(0.0, -coeffs.min(), recon))
 
 
@@ -127,7 +129,7 @@ class VertexHull:
         if self.barycentric_inverse is None:
             raise ValueError(self._membership_error)
         m = self.barycentric_matrix
-        rhs = np.append(np.asarray(x, dtype=float), 1.0)
+        rhs = np.concatenate((np.asarray(x, dtype=float).reshape(-1), (1.0,)))
         # The inverse's coefficients differ from the least-squares ones by
         # rounding (about cond(m) eps |c|), so a point this far below the
         # snap threshold is interior under both. Any other point is

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import zigzag_energy
-from .flow import reference_steps, reference_trajectory, total_accumulation_error
+from .flow import check_reference, reference_trajectory, total_accumulation_error
 from .problems import (make_logistic, make_matrix_completion, make_scalar_huber,
                        make_sensing, make_sensing_logistic, make_triangle)
 from .solvers import VARIANTS, SolverConfig, run
@@ -266,7 +266,7 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     if cfg.jobs != 1:
         raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
     if cfg.ref_delta is not None:
-        reference_steps(cfg.ref_delta, cfg.iters * cfg.delta)
+        check_reference(cfg.ref_delta, cfg.delta, cfg.iters)
     solver_cfgs = []
     for name in cfg.tableau:
         sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,

@@ -87,17 +87,25 @@ class Trajectory:
 
     def write_csv(self, fh):
         fh.write("k,t,f,gap,step_norm,violation,wall_ns\n")
-        for i in range(len(self.ks)):
-            fh.write(f"{int(self.ks[i])},{float(self.ts[i])!r},"
-                     f"{float(self.fs[i])!r},{float(self.gaps[i])!r},"
-                     f"{float(self.step_norms[i])!r},"
-                     f"{float(self.violations[i])!r},{int(self.wall_ns[i])}\n")
+        ints = [np.asarray(col).astype(np.int64).tolist() for col in (self.ks, self.wall_ns)]
+        floats = [np.asarray(col, dtype=float).tolist()
+                  for col in (self.ts, self.fs, self.gaps, self.step_norms, self.violations)]
+        fh.writelines(f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n"
+                      for k, w, t, f, gap, sn, v in zip(*ints, *floats))
 
     def write_iterates(self, fh):
         if self.iterates is None:
             raise ValueError("run did not record iterates")
         for row in self.iterates.reshape(len(self.iterates), -1).tolist():
             fh.write(" ".join(map(repr, row)) + "\n")
+
+
+def _all_finite(v) -> bool:
+    """np.isfinite(v).all() for a float array, at the cost of one dot
+    product: a finite self-dot proves every entry finite, and only an
+    overflowing one is settled entry by entry."""
+    v = v.reshape(-1)
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
@@ -112,15 +120,13 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
     obj, region = problem.objective, problem.region
     x = np.asarray(x, dtype=float)
     gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
-    a = t.a.tolist()
     xi, xbars, atoms = [], [], []
     gap0 = 0.0
     for i, gamma in enumerate(gammas):
         xb = x.copy()
-        for aij, xij in zip(a[i], xi):
-            if aij != 0.0:
-                xb += aij * xij
-        if not np.isfinite(xb).all():
+        for j, aij in t.stage_terms[i]:
+            xb += aij * xi[j]
+        if not _all_finite(xb):
             raise ArithmeticError(f"non-finite state at stage {i}, iteration {k}")
         g = obj.gradient(xb)
         atom = region.lmo(g)
@@ -131,9 +137,10 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
         xbars.append(xb)
         atoms.append(atom)
     x_next = x.copy()
-    for w, step in zip(t.weights.tolist(), xi):
+    # a zero weight is applied too: x + 0.0 * step can turn -0.0 into +0.0
+    for w, step in zip(t.weight_floats, xi):
         x_next += w * step
-    if not np.isfinite(x_next).all():
+    if not _all_finite(x_next):
         raise ArithmeticError(f"non-finite step at iteration {k}")
     return x_next, StageState(xbars, atoms, xi, gap0)
 
@@ -159,7 +166,7 @@ def _scan_and_bisect(nonincreasing, tol):
     then bisection narrows the bracket to width tol."""
     if nonincreasing(1.0):
         return 1.0
-    grid = np.linspace(0.0, 1.0, 33)
+    grid = np.linspace(0.0, 1.0, 33).tolist()
     ok = [nonincreasing(gm) for gm in grid]
     idx = max(i for i in range(33) if ok[i])  # i=0 always qualifies
     if idx == 32:
@@ -171,10 +178,10 @@ def _scan_and_bisect(nonincreasing, tol):
             lo = mid
         else:
             hi = mid
-    return float(lo)
+    return lo
 
 
-def _largest_nonincreasing_step(objective, x, d, fx, tol):
+def _largest_nonincreasing_step(objective, x, d, fx, tol, values=None):
     """Largest gamma in [0, 1] with f(x + gamma d) <= f(x) = fx.
 
     Grid scan (33 points) to bracket the last sign change of
@@ -191,9 +198,16 @@ def _largest_nonincreasing_step(objective, x, d, fx, tol):
     The step found is checked with one value call (unless it is 0); if f
     rises there, the search is redone with every test evaluated, so a wrong
     model can change the step but never lets f rise.
+
+    `values`, when given, is a dict that receives f(x + gamma d) under
+    gamma for every value call the search makes.
     """
+    if values is None:
+        values = {}
+
     def evaluated(gm):
-        return objective.value(x + gm * d) - fx <= 0.0
+        f = values[gm] = objective.value(x + gm * d)
+        return f - fx <= 0.0
 
     along = getattr(objective, "along", None)
     if along is None:
@@ -212,11 +226,14 @@ def _largest_nonincreasing_step(objective, x, d, fx, tol):
 
 
 def _searched_step(objective, x, d, fx, k, c, tol):
-    """(step, gbar): gbar is the largest non-increasing step along d from x,
-    where f(x) = fx; step is the larger of gbar and the open-loop fraction
-    c/(c+k), clipped to [0, 1]."""
-    gbar = _largest_nonincreasing_step(objective, x, d, fx, tol)
-    return float(min(1.0, max(c / (c + k), gbar))), gbar
+    """(step, gbar, f_gbar): gbar is the largest non-increasing step along d
+    from x, where f(x) = fx; step is the larger of gbar and the open-loop
+    fraction c/(c+k), clipped to [0, 1]. f_gbar is f(x + gbar d) when the
+    search computed it at that very array, else None. It is never fx: at
+    gbar = 0, x + 0 d can differ from x in the sign of a zero."""
+    values = {}
+    gbar = _largest_nonincreasing_step(objective, x, d, fx, tol, values)
+    return float(min(1.0, max(c / (c + k), gbar))), gbar, values.get(gbar)
 
 
 def line_search_gamma(x, d, k: int, c: float, objective, tol: float = 1e-10) -> float:
@@ -271,9 +288,11 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
         z = np.asarray(obj.gradient(x), dtype=float)
         v = region.lmo(z).dense()
 
+    f_next = None  # f at the next row's x, when the step already computed it
     t0 = time.perf_counter_ns()
     for k in range(cfg.max_iters + 1):
-        fs[k] = obj.value(x)
+        fs[k] = obj.value(x) if f_next is None else f_next
+        f_next = None
         violations[k] = region.membership_violation(x)
         if iterates is not None:
             iterates[k] = x
@@ -290,11 +309,15 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
             gaps[k] = st.gap_at_start
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
-            step, gbar = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
+            step, gbar, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
             x_next = x + step * d
-            # monotone fallback: the search checked f(x + gbar d) <= f(x)
-            if step != gbar and obj.value(x_next) > fs[k]:
-                x_next = x + gbar * d
+            if step != gbar:
+                f_step = obj.value(x_next)
+                if f_step > fs[k]:
+                    # monotone fallback: the search checked f(x + gbar d) <= f(x)
+                    x_next = x + gbar * d
+                else:
+                    f_next = f_step
         else:  # momentum
             gaps[k] = _row_gap(x, problem)
             x_next, z, v = momentum_step(x, z, v, k, cfg.c, problem)

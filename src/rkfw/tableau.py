@@ -9,6 +9,7 @@ what keeps iterates inside the feasible region.
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,24 @@ class ButcherTableau:
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
+
+    # The step reads the tableau as Python floats, built on first use and
+    # kept: the arrays above are not to be changed after construction.
+
+    @cached_property
+    def stage_terms(self) -> tuple:
+        """Per stage i, the (j, a[i][j]) pairs with j < i and a[i][j] != 0:
+        the terms of the stage point x + sum_j a[i][j] xi_j."""
+        return tuple(tuple((j, aij) for j, aij in enumerate(row[:i]) if aij != 0.0)
+                     for i, row in enumerate(self.a.tolist()))
+
+    @cached_property
+    def weight_floats(self) -> tuple:
+        return tuple(self.weights.tolist())
+
+    @cached_property
+    def offset_floats(self) -> tuple:
+        return tuple(self.offsets.tolist())
 
 
 def _builtin():
@@ -196,8 +215,13 @@ def _mixing_matrix(t: ButcherTableau, gammas: np.ndarray) -> np.ndarray:
 
 
 def stage_gammas(t: ButcherTableau, c: float, delta: float, k: int) -> np.ndarray:
-    """Per-stage step fractions delta*c / (c + delta*(k + offset))."""
-    return delta * c / (c + delta * (k + t.offsets))
+    """Per-stage step fractions delta*c / (c + delta*(k + offset)).
+
+    Evaluated in Python floats, the same operations in the same order as
+    the array expression, so every fraction is bit-identical to it.
+    """
+    dc = delta * c
+    return np.array([dc / (c + delta * (k + o)) for o in t.offset_floats])
 
 
 def feasibility_certificate(t: ButcherTableau, c: float, delta: float,

@@ -81,6 +81,20 @@ def test_bad_ref_delta_fails_before_any_run(tmp_path, monkeypatch, capsys, ref_d
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--ref-delta", "0.3"], "reference does not cover the trajectory time span"),
+    (["--delta", "1", "--iters", "20", "--ref-delta", "0.1905"],
+     "reference step must be <= trajectory step / 10"),
+])
+def test_unusable_reference_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                                 flags, message):
+    monkeypatch.chdir(tmp_path)
+    for verb in ("solve", "tae"):
+        assert main([verb, "--problem", "triangle", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_unknown_tableau(capsys):
     assert main(["certify", "--tableau", "rk99"]) == 1
     assert "unknown tableau" in capsys.readouterr().err

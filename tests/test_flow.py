@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rkfw.flow import (FlowReference, absorption_time, closed_form_reference,
-                       flow_bound, huber_flow_exact, reference_trajectory,
-                       total_accumulation_error)
+from rkfw.flow import (FlowReference, absorption_time, check_reference,
+                       closed_form_reference, flow_bound, huber_flow_exact,
+                       reference_trajectory, total_accumulation_error)
 from rkfw.problems import make_scalar_huber, make_triangle
 from rkfw.solvers import SolverConfig, run
 from rkfw.tableau import make_tableau
@@ -146,3 +148,47 @@ def test_tae_decreases_with_delta_on_scalar():
         errs = [e for _, e in total_accumulation_error(traj, ref)]
         worst[delta] = max(errs)
     assert worst[0.05] < worst[0.1]
+
+
+def _raised(fn):
+    """The message of the ValueError fn raises, or None."""
+    try:
+        fn()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_reference_times_are_the_closed_form_grid():
+    numeric = reference_trajectory(make_scalar_huber(0.1), 2.0, 0.03, 1.2)
+    exact = closed_form_reference(1.0, 2.0, 0.03, 1.2)
+    assert numeric.times.tobytes() == exact.times.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
+       st.one_of(st.floats(0.0005, 3.0),
+                 st.sampled_from([0.3, 0.1905, 0.1, 0.03, 0.01, 1 / 3, 0.5])))
+def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref):
+    # the same verdict and message, reached before anything is run
+    p = make_scalar_huber(0.1)
+    cfg = SolverConfig(tableau=make_tableau("euler"), delta=delta,
+                       max_iters=iters, record_iterates=True)
+
+    def measure():
+        ref = closed_form_reference(1.0, 2.0, delta_ref, iters * delta)
+        total_accumulation_error(run(p, cfg), ref)
+
+    assert _raised(lambda: check_reference(delta_ref, delta, iters)) == _raised(measure)
+
+
+@pytest.mark.parametrize("delta,iters,delta_ref,message", [
+    (1.0, 100, 0.3, "reference does not cover the trajectory time span"),
+    (1.0, 20, 0.1905, "reference step must be <= trajectory step / 10"),
+    (1.0, 20, 0.3, "reference step must be <= trajectory step / 10"),
+    (1.0, 20, 0.2, None),       # every trajectory time on the grid
+    (0.1, 20, 0.1, None),       # same grid: a run against itself
+    (1.0, 20, 0.1, None),
+])
+def test_check_reference_cases(delta, iters, delta_ref, message):
+    assert _raised(lambda: check_reference(delta_ref, delta, iters)) == message

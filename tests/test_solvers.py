@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkfw.geometry import Box, DenseAtom
+from rkfw.geometry import Box, DenseAtom, VertexHull
 from rkfw.harness import ExperimentConfig, build_problem
 from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
@@ -89,23 +89,43 @@ def reference_step(x, k, cfg, problem):
     return x_next, xi, xbars
 
 
+def signed_zero_problem():
+    """A triangle with a -0.0 vertex coordinate, started on its bottom edge
+    at a point whose second coordinate is -0.0. Under midpoint at k = 0
+    (delta 0.5 or 1), stage 0 pulls toward (1, 0.0) and stage 1 toward
+    (-1, -0.0), so x_next's second coordinate is +0.0 when stage 0's zero
+    weight is applied and -0.0 when it is skipped."""
+    hull = VertexHull([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0]])
+    return ProblemInstance(DistanceSq(np.array([0.3, 0.05])), hull,
+                           np.array([0.2, -0.0]), None, "signed_zero")
+
+
 @pytest.mark.parametrize("make", [
     make_triangle,
     lambda: make_scalar_huber(epsilon=1e-6),
     lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
-], ids=["triangle", "interval", "sensing"])
+    signed_zero_problem,
+], ids=["triangle", "interval", "sensing", "signed_zero"])
 @pytest.mark.parametrize("name", TABLEAU_NAMES)
 def test_step_is_bit_identical_to_reference(make, name):
+    # compared as bytes: np.array_equal takes -0.0 for +0.0
     p = make()
     cfg = cfg_for(name, delta=0.5)
     x = p.x0
     for k in [*range(12), 100, 1001, 99999]:
         x_next, st_ = rk_fw_step(x, k, cfg, p)
         want, xi, xbars = reference_step(x, k, cfg, p)
-        assert np.array_equal(x_next, want), k
-        assert all(np.array_equal(a, b) for a, b in zip(st_.xi, xi, strict=True)), k
-        assert all(np.array_equal(a, b) for a, b in zip(st_.xbar, xbars, strict=True)), k
+        assert x_next.tobytes() == want.tobytes(), k
+        assert [v.tobytes() for v in st_.xi] == [v.tobytes() for v in xi], k
+        assert [v.tobytes() for v in st_.xbar] == [v.tobytes() for v in xbars], k
         x = x_next
+
+
+def test_midpoint_applies_its_zero_weight():
+    p = signed_zero_problem()
+    x_next, _ = rk_fw_step(p.x0, 0, cfg_for("midpoint"), p)
+    assert np.signbit(p.x0[1])
+    assert x_next[1] == 0.0 and not np.signbit(x_next[1])
 
 
 @pytest.mark.parametrize("name", ["midpoint", "rk44", "rk38", "rk5"])
@@ -222,6 +242,67 @@ def test_line_search_fallback_keeps_monotone():
                x0=np.array([0.9]))
     assert traj.fs[1] <= traj.fs[0] + 1e-12
     assert np.all(np.diff(traj.fs) <= 1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    make_triangle, lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
+    lambda: make_sensing(seed=7000),
+], ids=["triangle", "sensing", "sensing7000"])
+@pytest.mark.parametrize("name", ["euler", "rk44"])
+def test_line_search_records_f_of_each_iterate(make, name):
+    # a row's f may come from the previous step's search; it must be the
+    # value of the row's own x
+    p = make()
+    traj = run(p, cfg_for(name, variant="line_search", max_iters=60,
+                          record_iterates=True))
+    fresh = np.array([p.objective.value(x) for x in traj.iterates])
+    assert traj.fs.tobytes() == fresh.tobytes()
+
+
+class Pocketed:
+    """f(x) = h(|x|): h(u) = -u up to 0.3, u - 0.6 up to 0.6, u beyond,
+    except -1 on the pocket (0.852, 0.858), which no grid point of the
+    search hits. No along(), so every search test is evaluated."""
+
+    def value(self, x):
+        u = abs(float(x[0]))
+        if u <= 0.3:
+            return -u
+        if u <= 0.6:
+            return u - 0.6
+        return -1.0 if 0.852 < u < 0.858 else u
+
+    def gradient(self, x):
+        return np.array(x, dtype=float)
+
+
+def test_line_search_records_f_of_a_step_past_the_search():
+    # k = 0 falls back to gbar ~ 0.6 (x = -0.6). At k = 1, d ~ 1.6 and the
+    # search stops at gbar ~ 0.75, but the schedule step 10/11 lands in the
+    # pocket, where f is lower: the step is taken, and its own f recorded
+    p = ProblemInstance(Pocketed(), Box(1.0, 1), np.array([0.0]), None, "pocketed")
+    traj = run(p, cfg_for("euler", c=10.0, variant="line_search", max_iters=3,
+                          record_iterates=True))
+    assert traj.fs[2] == -1.0
+    fresh = np.array([p.objective.value(x) for x in traj.iterates])
+    assert traj.fs.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("name", ["euler", "rk44"])
+def test_line_search_evaluates_no_point_twice(name):
+    # on the triangle no step is 0, so every point the run evaluates is new:
+    # the next row's f is the one the search already computed there
+    p = make_triangle()
+    points = []
+    value = p.objective.value
+
+    def counted(x):
+        points.append(np.asarray(x).tobytes())
+        return value(x)
+
+    p.objective.value = counted
+    run(p, cfg_for(name, variant="line_search", max_iters=60))
+    assert len(points) == len(set(points)) > 60
 
 
 class ValueOnly:
@@ -376,6 +457,53 @@ def test_non_finite_state_raises():
         rk_fw_step(np.array([0.5]), 0, cfg_for("midpoint"), p)
 
 
+class FaultyBox:
+    """The [-1, 1]^2 box oracle, except that answer number `at` (counted
+    from 0) has `bad` in its second entry."""
+
+    def __init__(self, at, bad):
+        self.box, self.at, self.bad, self.calls = Box(1.0, 2), at, bad, 0
+
+    def lmo(self, g):
+        atom = self.box.lmo(g).dense()
+        if self.calls == self.at:
+            atom[1] = self.bad
+        self.calls += 1
+        return DenseAtom(atom)
+
+    def membership_violation(self, x):
+        return 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stage", range(4))
+def test_non_finite_stage_point_names_stage_and_iteration(stage, bad):
+    # the 1e200 entry makes the stage point's self-dot overflow as well;
+    # stage 0 sees x itself, stage i > 0 the bad answer of stage i - 1
+    x = np.array([1e200, 0.5])
+    if stage == 0:
+        x[1] = bad
+    p = ProblemInstance(DistanceSq(np.zeros(2)), FaultyBox(stage - 1, bad),
+                        np.array([0.5, 0.5]), None, "faulty")
+    with pytest.raises(ArithmeticError,
+                       match=f"^non-finite state at stage {stage}, iteration 7$"):
+        rk_fw_step(x, 7, cfg_for("rk44"), p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", TABLEAU_NAMES)
+def test_finite_states_whose_self_dot_overflows_pass(name):
+    big = 1e200
+    p = ProblemInstance(DistanceSq(np.zeros(2)), Box(big, 2), np.array([big, -big]),
+                        None, "big")
+    assert not np.isfinite(p.x0 @ p.x0)
+    x = p.x0
+    for k in range(4):
+        x, _ = rk_fw_step(x, k, cfg_for(name), p)
+        assert np.isfinite(x).all()
+
+
 @pytest.mark.parametrize("variant", ["plain", "line_search"])
 def test_non_finite_step_raises_in_run(variant):
     # the one-stage step is infinite at once; no search may see it
@@ -399,6 +527,20 @@ def test_csv_round_trip():
         # repr formatting survives the float round trip exactly
         assert float(cells[2]) == traj.fs[i]
         assert float(cells[3]) == traj.gaps[i]
+
+
+def test_csv_rows_are_each_entrys_repr():
+    # delta = 1 makes t an integer column; it is still written as floats
+    traj = run(signed_zero_problem(), cfg_for("midpoint", delta=1, max_iters=5))
+    assert traj.ts.dtype.kind == "i"
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    want = "k,t,f,gap,step_norm,violation,wall_ns\n" + "".join(
+        f"{int(traj.ks[i])},{float(traj.ts[i])!r},{float(traj.fs[i])!r},"
+        f"{float(traj.gaps[i])!r},{float(traj.step_norms[i])!r},"
+        f"{float(traj.violations[i])!r},{int(traj.wall_ns[i])}\n"
+        for i in range(len(traj.ks)))
+    assert buf.getvalue() == want
 
 
 def test_iterates_dump_round_trip(tmp_path):

@@ -94,6 +94,22 @@ def test_stage_gammas_shape_and_zero_stage():
     assert np.all(np.diff(g) <= 0)
 
 
+@given(st.sampled_from(TABLEAU_NAMES), st.floats(1.0, 10.0),
+       st.floats(0.0, 2.0, exclude_min=True), st.integers(0, 20000))
+def test_stage_gammas_match_the_array_expression(name, c, delta, k):
+    t = make_tableau(name)
+    want = delta * c / (c + delta * (k + t.offsets))
+    assert stage_gammas(t, c, delta, k).tobytes() == want.tobytes()
+
+
+def test_stage_terms_are_the_nonzero_entries_below_the_diagonal():
+    t = make_tableau("rk38")
+    assert t.stage_terms == ((), ((0, 1 / 3),), ((0, -1 / 3), (1, 1.0)),
+                             ((0, 1.0), (1, -1.0), (2, 1.0)))
+    assert t.weight_floats == (1 / 8, 3 / 8, 3 / 8, 1 / 8)
+    assert make_tableau("rk5").stage_terms[3] == ((1, -1 / 2), (2, 1.0))
+
+
 def test_cancellability_margins_frozen():
     assert cancellability_margin(make_tableau("euler").weights) == pytest.approx(1.0)
     assert cancellability_margin(make_tableau("midpoint").weights) == pytest.approx(1.0)
