@@ -82,7 +82,14 @@ def _check_grid(times, delta, ref_times, delta_ref):
     if times[-1] > ref_times[-1] + 1e-12:
         raise ValueError("reference does not cover the trajectory time span")
     if delta_ref > delta / 10 + 1e-15:
-        on_grid = np.all(np.isclose(times[:, None], ref_times[None, :], atol=1e-12).any(axis=1))
+        # np.isclose(t, r) tests |t - r| <= atol + rtol r, which for r >= 0
+        # only gets harder as r moves away from t: of the sorted ref_times,
+        # the nearest one on each side of t is the best candidate there
+        above = np.searchsorted(ref_times, times)
+        below = ref_times[np.maximum(above - 1, 0)]
+        above = ref_times[np.minimum(above, len(ref_times) - 1)]
+        on_grid = np.all(np.isclose(times, below, atol=1e-12)
+                         | np.isclose(times, above, atol=1e-12))
         if not on_grid:
             raise ValueError("reference step must be <= trajectory step / 10")
 

@@ -160,25 +160,61 @@ def _row_gap(x, problem):
     return float(np.vdot(g, x - s))
 
 
-def _scan_and_bisect(nonincreasing, tol):
-    """Largest gamma in [0, 1] that the sign test nonincreasing(gamma)
-    accepts: a 33-point grid scan brackets the last accepted grid point,
-    then bisection narrows the bracket to width tol."""
-    if nonincreasing(1.0):
+_GRID = tuple(i / 32 for i in range(33))  # np.linspace(0, 1, 33), bit for bit
+
+
+def _scan_and_bisect(evaluated, tol, model=None):
+    """Largest gamma in [0, 1] whose sign test accepts it: 1 when it
+    qualifies, else a scan down the 33-point grid from 31/32 finds the last
+    accepted grid point, and bisection narrows the bracket above it to width
+    tol. The grid guards against stopping at an early pocket of phi.
+
+    The test at gamma is evaluated(gamma), or, given model = (a, b, err),
+    the sign of m = gamma (a gamma + b) wherever |m| > err, and at gamma = 0,
+    where m and phi are both exactly 0. Raises ValueError when not even
+    gamma = 0 qualifies, as a NaN f or model there makes it.
+    """
+    a, b, err = model if model is not None else (0.0, 0.0, math.inf)
+    m = a + b  # gamma = 1
+    if m <= 0.0 if abs(m) > err else evaluated(1.0):
         return 1.0
-    grid = np.linspace(0.0, 1.0, 33).tolist()
-    ok = [nonincreasing(gm) for gm in grid]
-    idx = max(i for i in range(33) if ok[i])  # i=0 always qualifies
-    if idx == 32:
-        return 1.0
-    lo, hi = grid[idx], grid[idx + 1]
+    for idx in range(31, -1, -1):  # 32 is gamma = 1, refused above
+        gm = _GRID[idx]
+        m = gm * (a * gm + b)
+        if m <= 0.0 if abs(m) > err or (idx == 0 and model is not None) else evaluated(gm):
+            break
+    else:
+        raise ValueError("no step along the search direction passes the sign test")
+    lo, hi = _GRID[idx], _GRID[idx + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if nonincreasing(mid):
+        m = mid * (a * mid + b)
+        if m <= 0.0 if abs(m) > err else evaluated(mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _search(objective, x, d, fx, tol):
+    """(gbar, values, model): gbar is the largest gamma in [0, 1] with
+    f(x + gamma d) <= f(x) = fx, values maps every gamma the search called
+    value at to f there, and model is along's (a, b, err) when the search
+    trusted it, else None."""
+    values = {}
+
+    def evaluated(gm):
+        f = values[gm] = objective.value(x + gm * d)
+        return f - fx <= 0.0
+
+    along = getattr(objective, "along", None)
+    if along is not None:
+        model = along(x, d)
+        gbar = _scan_and_bisect(evaluated, tol, model)
+        # a gbar the search evaluated passed its test there
+        if gbar == 0.0 or gbar in values or evaluated(gbar):
+            return gbar, values, model
+    return _scan_and_bisect(evaluated, tol), values, None
 
 
 def _largest_nonincreasing_step(objective, x, d, fx, tol, values=None):
@@ -194,54 +230,65 @@ def _largest_nonincreasing_step(objective, x, d, fx, tol, values=None):
     of phi as value computes it. A sign test then reads the model wherever
     |model| > err, where the evaluated phi has the same sign, and calls
     value only for the tests the model cannot settle, so the search makes
-    the same decisions with a handful of value calls instead of about 63.
-    The step found is checked with one value call (unless it is 0); if f
-    rises there, the search is redone with every test evaluated, so a wrong
-    model can change the step but never lets f rise.
+    the same decisions with a few value calls instead of about 60.
+    The step found is checked with one value call (unless it is 0 or the
+    search already evaluated it); if f rises there, the search is redone
+    with every test evaluated, so a wrong model can change the step but
+    never lets f rise.
 
     `values`, when given, is a dict that receives f(x + gamma d) under
     gamma for every value call the search makes.
     """
-    if values is None:
-        values = {}
+    gbar, found, _ = _search(objective, x, d, fx, tol)
+    if values is not None:
+        values.update(found)
+    return gbar
 
-    def evaluated(gm):
-        f = values[gm] = objective.value(x + gm * d)
-        return f - fx <= 0.0
 
-    along = getattr(objective, "along", None)
-    if along is None:
-        return _scan_and_bisect(evaluated, tol)
-    a, b, err = along(x, d)
+def _floored(gbar, k, c):
+    """The searched step: the larger of gbar and the open-loop fraction
+    c/(c+k), clipped to [0, 1]."""
+    return float(min(1.0, max(c / (c + k), gbar)))
 
-    def modelled(gm):
-        m = gm * (a * gm + b)
-        # at gm = 0 both m and phi are exactly 0: f(x + 0 d) = f(x) = fx
-        return m <= 0.0 if gm == 0.0 or abs(m) > err else evaluated(gm)
 
-    gbar = _scan_and_bisect(modelled, tol)
-    if gbar == 0.0 or evaluated(gbar):
-        return gbar
-    return _scan_and_bisect(evaluated, tol)
+def _rises(model, gm):
+    """True when the model (a, b, err) settles that f(x + gm d) > f(x)."""
+    a, b, err = model
+    m = gm * (a * gm + b)
+    return abs(m) > err and m > 0.0
 
 
 def _searched_step(objective, x, d, fx, k, c, tol):
-    """(step, gbar, f_gbar): gbar is the largest non-increasing step along d
-    from x, where f(x) = fx; step is the larger of gbar and the open-loop
-    fraction c/(c+k), clipped to [0, 1]. f_gbar is f(x + gbar d) when the
-    search computed it at that very array, else None. It is never fx: at
-    gbar = 0, x + 0 d can differ from x in the sign of a zero."""
-    values = {}
-    gbar = _largest_nonincreasing_step(objective, x, d, fx, tol, values)
-    return float(min(1.0, max(c / (c + k), gbar))), gbar, values.get(gbar)
+    """(x_next, f_next): the point the line search moves to from x along d,
+    where f(x) = fx, and f(x_next) when the run already knows it, else None.
+
+    The step is the largest non-increasing step gbar floored at the
+    open-loop fraction c/(c+k). If f rises there, the step falls back to
+    gbar, which the search checked. Where the search's
+    model settles that f rises at the step, no value call is made there.
+    At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is
+    reused only when the two are equal byte for byte.
+    """
+    gbar, values, model = _search(objective, x, d, fx, tol)
+    step = _floored(gbar, k, c)
+    if step != gbar and not (model is not None and _rises(model, step)):
+        x_next = x + step * d
+        f_step = objective.value(x_next)
+        if not f_step > fx:
+            return x_next, f_step
+    x_next = x + gbar * d
+    f_next = values.get(gbar)
+    if f_next is None and x_next.tobytes() == x.tobytes():
+        f_next = fx
+    return x_next, f_next
 
 
 def line_search_gamma(x, d, k: int, c: float, objective, tol: float = 1e-10) -> float:
     """Searched step: max of the open-loop fraction c/(c+k) and the largest
     non-increasing step along d. Clipped to [0, 1]."""
     x = np.asarray(x, dtype=float)
-    return _searched_step(objective, x, np.asarray(d, dtype=float),
-                          objective.value(x), k, c, tol)[0]
+    return _floored(_largest_nonincreasing_step(objective, x, np.asarray(d, dtype=float),
+                                                objective.value(x), tol), k, c)
 
 
 def momentum_step(x, z, v, k: int, c: float, problem):
@@ -309,15 +356,7 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
             gaps[k] = st.gap_at_start
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
-            step, gbar, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
-            x_next = x + step * d
-            if step != gbar:
-                f_step = obj.value(x_next)
-                if f_step > fs[k]:
-                    # monotone fallback: the search checked f(x + gbar d) <= f(x)
-                    x_next = x + gbar * d
-                else:
-                    f_next = f_step
+            x_next, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
         else:  # momentum
             gaps[k] = _row_gap(x, problem)
             x_next, z, v = momentum_step(x, z, v, k, cfg.c, problem)

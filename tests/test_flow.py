@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkfw.flow import (FlowReference, absorption_time, check_reference,
+from rkfw.flow import (FlowReference, _check_grid, absorption_time, check_reference,
                        closed_form_reference, flow_bound, huber_flow_exact,
                        reference_trajectory, total_accumulation_error)
 from rkfw.problems import make_scalar_huber, make_triangle
@@ -192,3 +194,38 @@ def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref
 ])
 def test_check_reference_cases(delta, iters, delta_ref, message):
     assert _raised(lambda: check_reference(delta_ref, delta, iters)) == message
+
+
+def _on_grid_by_table(times, ref_times):
+    """The on-grid rule as a full (times x ref_times) closeness table."""
+    return bool(np.all(np.isclose(times[:, None], ref_times[None, :], atol=1e-12).any(axis=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
+       st.one_of(st.integers(1, 9).map(lambda q: 1.0 / q),
+                 st.fractions(1, 7, max_denominator=7).map(float),
+                 st.floats(0.11, 3.0)),
+       st.lists(st.floats(0.0, 20.0), max_size=8))
+def test_on_grid_rule_matches_the_full_table(iters, delta, ratio, extra):
+    # reference times: a uniform grid of step ratio * delta (on the trajectory
+    # grid when 1/ratio is a whole number), plus arbitrary sorted extra times
+    times = np.arange(iters + 1) * delta
+    delta_ref = ratio * delta
+    ref_times = np.unique(np.concatenate([
+        np.arange(int(np.ceil(iters / ratio)) + 2) * delta_ref, extra]))
+    want = None if _on_grid_by_table(times, ref_times) else \
+        "reference step must be <= trajectory step / 10"
+    assert _raised(lambda: _check_grid(times, delta, ref_times, delta_ref)) == want
+
+
+def test_on_grid_check_of_a_long_run_stays_small():
+    # a 4000-step run against its own grid: the full closeness table would
+    # hold 4001 x 4001 entries
+    tracemalloc.start()
+    try:
+        assert check_reference(0.1, 0.1, 4000) == 4000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -28,3 +28,16 @@ def test_certificate_table_prints_every_tableau(monkeypatch, capsys):
     out = capsys.readouterr().out
     for name in TABLEAU_NAMES:
         assert f"{name}  (q=" in out
+
+
+def test_variant_study_counts_value_calls(monkeypatch, capsys):
+    script = _load(SCRIPTS / "variant_study.py")
+    monkeypatch.setattr(sys, "argv", ["variant_study.py", "--iters", "5"])
+    script.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith("value calls/iter")
+    assert len(rows) == 7
+    calls = {tuple(row.split()[:2]): float(row.split()[-1]) for row in rows}
+    # plain and momentum runs evaluate f once per row: 6 rows over 5 iterations
+    assert calls[("euler", "plain")] == calls[("euler", "momentum")] == 6 / 5
+    assert calls[("euler", "line_search")] > 0

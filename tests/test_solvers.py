@@ -288,21 +288,66 @@ def test_line_search_records_f_of_a_step_past_the_search():
     assert traj.fs.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("name", ["euler", "rk44"])
-def test_line_search_evaluates_no_point_twice(name):
-    # on the triangle no step is 0, so every point the run evaluates is new:
-    # the next row's f is the one the search already computed there
-    p = make_triangle()
+def logged_values(p):
+    """Replace p's objective.value with one that logs the bytes of every
+    point it is called at; return the log."""
     points = []
     value = p.objective.value
 
-    def counted(x):
+    def logged(x):
         points.append(np.asarray(x).tobytes())
         return value(x)
 
-    p.objective.value = counted
-    run(p, cfg_for(name, variant="line_search", max_iters=60))
-    assert len(points) == len(set(points)) > 60
+    p.objective.value = logged
+    return points
+
+
+@pytest.mark.parametrize("name", ["euler", "rk44"])
+def test_line_search_evaluates_no_point_twice(name):
+    # the next row's f is the one the search already computed there. On the
+    # triangle no step is 0; on sensing instance 7000 every rk44 step is 0,
+    # and x + 0 d equals x byte for byte, so its row reuses f(x)
+    for make, least in ((make_triangle, 61), (lambda: make_sensing(seed=7000), 1)):
+        p = make()
+        points = logged_values(p)
+        run(p, cfg_for(name, variant="line_search", max_iters=60))
+        assert len(points) == len(set(points)) >= least
+
+
+def test_line_search_calls_no_value_at_a_refused_step():
+    # on sensing instance 7000 every euler schedule step overshoots the far
+    # root of phi; the model settles that f rises there, so no value call
+    # falls at the step the run refuses
+    p = make_sensing(seed=7000)
+    log = logged_values(p)
+    cfg = cfg_for("euler", variant="line_search", max_iters=60, record_iterates=True)
+    traj = run(p, cfg)
+    points = set(log)
+    assert len(points) > cfg.max_iters
+    for k in range(cfg.max_iters):
+        x = traj.iterates[k]
+        x_plain, _ = rk_fw_step(x, k, cfg, p)
+        d = (x_plain - x) / (cfg.delta * cfg.c / (cfg.c + cfg.delta * k))
+        at_step = (x + min(1.0, cfg.c / (cfg.c + k)) * d).tobytes()
+        assert at_step != traj.iterates[k + 1].tobytes(), k
+        assert at_step not in points, k
+
+
+def test_stuck_step_evaluates_a_moved_zero():
+    # x0 is the target, so gbar = 0 and the schedule step raises f: the run
+    # falls back to x0 + 0 d, which turns x0's -0.0 into +0.0. f(x1) must
+    # be evaluated at those bytes, not copied from row 0
+    x0 = np.array([0.2, -0.0])
+    p = ProblemInstance(DistanceSq(x0.copy()), signed_zero_problem().region, x0,
+                        None, "stuck")
+    points = logged_values(p)
+    cfg = cfg_for("euler", variant="line_search", max_iters=1, record_iterates=True)
+    traj = run(p, cfg)
+    x_plain, _ = rk_fw_step(x0, 0, cfg, p)  # gamma_0 = 1, so d = x_plain - x0
+    moved = x0 + 0.0 * (x_plain - x0)
+    assert np.signbit(x0[1]) and not np.signbit(moved[1])
+    assert traj.iterates[1].tobytes() == moved.tobytes()
+    assert points[-1] == moved.tobytes()
 
 
 class ValueOnly:
@@ -342,8 +387,11 @@ def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, dire
             d = -grad * (abs(b) / (2.0 * a) if a > 0 else 1.0) * 0.5
     fx = obj.value(x)
     got = _largest_nonincreasing_step(obj, x, d, fx, 1e-10)
-    want = _largest_nonincreasing_step(ValueOnly(obj), x, d, fx, 1e-10)
+    evaluated, calls, values = ValueOnly(obj), [], {}
+    evaluated.value = lambda y: calls.append(y) or obj.value(y)
+    want = _largest_nonincreasing_step(evaluated, x, d, fx, 1e-10, values)
     assert got == want
+    assert len(calls) == len(values)  # no gamma is evaluated twice
     assert obj.value(x + got * d) <= fx
 
 
@@ -370,12 +418,16 @@ def test_line_search_wrong_model_stays_monotone():
 
 @pytest.mark.parametrize("name", ["euler", "rk44"])
 def test_line_search_model_and_evaluated_runs_agree(name):
-    p = make_sensing(m=60, n=20, seed=5)
-    hidden = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "hidden")
-    cfg = cfg_for(name, variant="line_search", max_iters=80)
-    a, b = run(p, cfg), run(hidden, cfg)
-    assert np.array_equal(a.fs, b.fs)
-    assert np.array_equal(a.step_norms, b.step_norms)
+    # instances 7000 and 7001 are the sensing-ls benchmark's: rk44's steps
+    # there are mostly 0, and the model decides the fallback
+    for seed, size in ((5, dict(m=60, n=20)), (7000, {}), (7001, {})):
+        p = make_sensing(seed=seed, **size)
+        hidden = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "hidden")
+        cfg = cfg_for(name, variant="line_search", max_iters=80, record_iterates=True)
+        a, b = run(p, cfg), run(hidden, cfg)
+        assert a.fs.tobytes() == b.fs.tobytes(), seed
+        assert a.step_norms.tobytes() == b.step_norms.tobytes(), seed
+        assert a.iterates.tobytes() == b.iterates.tobytes(), seed
 
 
 class ResidualGradient(LeastSquares):
