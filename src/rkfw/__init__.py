@@ -23,8 +23,8 @@ from .objectives import (DistanceSq, HuberMatrix, HuberScalar, LeastSquares,
 from .problems import (ProblemInstance, make_logistic, make_matrix_completion,
                        make_scalar_huber, make_sensing, make_sensing_logistic,
                        make_triangle)
-from .solvers import (SolverConfig, Trajectory, fw_gap, line_search_gamma,
-                      momentum_step, rk_fw_step, run)
+from .solvers import (SolverConfig, Trajectory, fw_gap, momentum_step,
+                      rk_fw_step, run)
 from .tableau import (ButcherTableau, CertificateReport, TABLEAU_NAMES,
                       cancellability_margin, feasibility_certificate,
                       load_tableau_file, make_tableau, resolve_tableau,
@@ -41,7 +41,7 @@ __all__ = [
     "ProblemInstance", "make_triangle", "make_scalar_huber", "make_sensing",
     "make_sensing_logistic", "make_logistic", "make_matrix_completion",
     "SolverConfig", "Trajectory", "run", "rk_fw_step", "fw_gap",
-    "line_search_gamma", "momentum_step",
+    "momentum_step",
     "FlowReference", "flow_bound", "huber_flow_exact", "absorption_time",
     "reference_trajectory", "closed_form_reference",
     "total_accumulation_error",

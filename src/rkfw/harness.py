@@ -265,8 +265,6 @@ def solver_configs(cfg: ExperimentConfig) -> list:
         raise ValueError("window must be >= 2")
     if cfg.jobs != 1:
         raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
-    if cfg.ref_delta is not None:
-        check_reference(cfg.ref_delta, cfg.delta, cfg.iters)
     solver_cfgs = []
     for name in cfg.tableau:
         sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
@@ -278,6 +276,9 @@ def solver_configs(cfg: ExperimentConfig) -> list:
         solver_cfgs.append(sc)
     if not solver_cfgs:
         raise ValueError("config names no tableau")
+    # after the schedule checks: check_reference assumes a valid delta and iters
+    if cfg.ref_delta is not None:
+        check_reference(cfg.ref_delta, cfg.delta, cfg.iters)
     return solver_cfgs
 
 

@@ -24,8 +24,7 @@ from .tableau import (ButcherTableau, stage_gammas, validate_schedule,
                       validate_tableau)
 
 __all__ = [
-    "SolverConfig", "Trajectory", "StageState",
-    "rk_fw_step", "fw_gap", "line_search_gamma", "momentum_step", "run",
+    "SolverConfig", "Trajectory", "rk_fw_step", "fw_gap", "momentum_step", "run",
 ]
 
 VARIANTS = ("plain", "line_search", "momentum")
@@ -50,20 +49,14 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # bisection stops once its bracket is <= ls_tol wide; a NaN fails too
+        if not self.ls_tol > 0.0:
+            raise ValueError("ls_tol must be positive")
         if self.variant == "momentum":
             if self.tableau.q != 1 or np.any(self.tableau.a != 0.0):
                 raise ValueError("momentum is defined for the one-stage scheme only")
             if self.delta != 1.0:
                 raise ValueError("momentum is defined at delta = 1 only")
-
-
-@dataclass
-class StageState:
-    """Per-stage intermediates of one step, kept for diagnostics."""
-    xbar: list
-    atoms: list
-    xi: list
-    gap_at_start: float
 
 
 @dataclass
@@ -111,17 +104,16 @@ def _all_finite(v) -> bool:
 def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
     """One composite step from x at iteration index k.
 
-    Returns (x_next, StageState). Stage i sees the point advanced by the
-    tableau row, x + sum_j a[i][j] xi_j, and pulls toward its own oracle
-    answer with fraction delta*c/(c + delta*(k + offset_i)). A non-finite
-    stage point or step raises ArithmeticError.
+    Returns (x_next, duality gap at x). Stage i sees the point advanced
+    by the tableau row, x + sum_j a[i][j] xi_j, and pulls toward its own
+    oracle answer with fraction delta*c/(c + delta*(k + offset_i)). A
+    non-finite stage point or step raises ArithmeticError.
     """
     t = cfg.tableau
     obj, region = problem.objective, problem.region
     x = np.asarray(x, dtype=float)
     gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
-    xi, xbars, atoms = [], [], []
-    gap0 = 0.0
+    xi, gap = [], 0.0
     for i, gamma in enumerate(gammas):
         xb = x.copy()
         for j, aij in t.stage_terms[i]:
@@ -129,20 +121,17 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
         if not _all_finite(xb):
             raise ArithmeticError(f"non-finite state at stage {i}, iteration {k}")
         g = obj.gradient(xb)
-        atom = region.lmo(g)
-        sd = atom.dense()
+        sd = region.lmo(g).dense()
         if i == 0:
-            gap0 = float(np.vdot(g, xb - sd))
+            gap = float(np.vdot(g, xb - sd))
         xi.append(gamma * (sd - xb))
-        xbars.append(xb)
-        atoms.append(atom)
     x_next = x.copy()
     # a zero weight is applied too: x + 0.0 * step can turn -0.0 into +0.0
     for w, step in zip(t.weight_floats, xi):
         x_next += w * step
     if not _all_finite(x_next):
         raise ArithmeticError(f"non-finite step at iteration {k}")
-    return x_next, StageState(xbars, atoms, xi, gap0)
+    return x_next, gap
 
 
 def fw_gap(x, problem) -> float:
@@ -198,9 +187,22 @@ def _scan_and_bisect(evaluated, tol, model=None):
 
 def _search(objective, x, d, fx, tol):
     """(gbar, values, model): gbar is the largest gamma in [0, 1] with
-    f(x + gamma d) <= f(x) = fx, values maps every gamma the search called
-    value at to f there, and model is along's (a, b, err) when the search
-    trusted it, else None."""
+    phi(gamma) = f(x + gamma d) - fx <= 0 that _scan_and_bisect finds (0 for
+    an ascent direction of a convex f), values maps every gamma the search
+    called value at to f there, and model is along's (a, b, err) when the
+    search trusted it, else None.
+
+    An objective with along(x, d) -> (a, b, err) is quadratic along d:
+    phi(gamma) = a gamma^2 + b gamma exactly, and err bounds the rounding
+    of phi as value computes it. A sign test then reads the model wherever
+    |model| > err, where the evaluated phi has the same sign, and calls
+    value only for the tests the model cannot settle, so the search makes
+    the same decisions with a few value calls instead of about 60.
+    The step found is checked with one value call (unless it is 0 or the
+    search already evaluated it); if f rises there, the search is redone
+    with every test evaluated, so a wrong model can change the step but
+    never lets f rise.
+    """
     values = {}
 
     def evaluated(gm):
@@ -217,78 +219,32 @@ def _search(objective, x, d, fx, tol):
     return _scan_and_bisect(evaluated, tol), values, None
 
 
-def _largest_nonincreasing_step(objective, x, d, fx, tol, values=None):
-    """Largest gamma in [0, 1] with f(x + gamma d) <= f(x) = fx.
-
-    Grid scan (33 points) to bracket the last sign change of
-    phi(gamma) = f(x + gamma d) - f(x), then bisection to width tol.
-    phi can dip and recover, so the grid guards against stopping at an
-    early pocket. Always >= 0; equals 0 for ascent directions.
-
-    An objective with along(x, d) -> (a, b, err) is quadratic along d:
-    phi(gamma) = a gamma^2 + b gamma exactly, and err bounds the rounding
-    of phi as value computes it. A sign test then reads the model wherever
-    |model| > err, where the evaluated phi has the same sign, and calls
-    value only for the tests the model cannot settle, so the search makes
-    the same decisions with a few value calls instead of about 60.
-    The step found is checked with one value call (unless it is 0 or the
-    search already evaluated it); if f rises there, the search is redone
-    with every test evaluated, so a wrong model can change the step but
-    never lets f rise.
-
-    `values`, when given, is a dict that receives f(x + gamma d) under
-    gamma for every value call the search makes.
-    """
-    gbar, found, _ = _search(objective, x, d, fx, tol)
-    if values is not None:
-        values.update(found)
-    return gbar
-
-
-def _floored(gbar, k, c):
-    """The searched step: the larger of gbar and the open-loop fraction
-    c/(c+k), clipped to [0, 1]."""
-    return float(min(1.0, max(c / (c + k), gbar)))
-
-
-def _rises(model, gm):
-    """True when the model (a, b, err) settles that f(x + gm d) > f(x)."""
-    a, b, err = model
-    m = gm * (a * gm + b)
-    return abs(m) > err and m > 0.0
-
-
 def _searched_step(objective, x, d, fx, k, c, tol):
     """(x_next, f_next): the point the line search moves to from x along d,
     where f(x) = fx, and f(x_next) when the run already knows it, else None.
 
-    The step is the largest non-increasing step gbar floored at the
-    open-loop fraction c/(c+k). If f rises there, the step falls back to
-    gbar, which the search checked. Where the search's
-    model settles that f rises at the step, no value call is made there.
+    The step is the larger of gbar (see _search) and the open-loop fraction
+    c/(c+k), clipped to [0, 1]. If f rises there, the step falls back to
+    gbar, which the search checked. Where the search's model settles that
+    f rises at the step, no value call is made there.
     At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is
     reused only when the two are equal byte for byte.
     """
     gbar, values, model = _search(objective, x, d, fx, tol)
-    step = _floored(gbar, k, c)
-    if step != gbar and not (model is not None and _rises(model, step)):
-        x_next = x + step * d
-        f_step = objective.value(x_next)
-        if not f_step > fx:
-            return x_next, f_step
+    step = min(1.0, max(c / (c + k), gbar))
+    if step != gbar:
+        a, b, err = model if model is not None else (0.0, 0.0, math.inf)
+        m = step * (a * step + b)
+        if not (abs(m) > err and m > 0.0):  # the model cannot settle a rise
+            x_next = x + step * d
+            f_step = objective.value(x_next)
+            if not f_step > fx:
+                return x_next, f_step
     x_next = x + gbar * d
     f_next = values.get(gbar)
     if f_next is None and x_next.tobytes() == x.tobytes():
         f_next = fx
     return x_next, f_next
-
-
-def line_search_gamma(x, d, k: int, c: float, objective, tol: float = 1e-10) -> float:
-    """Searched step: max of the open-loop fraction c/(c+k) and the largest
-    non-increasing step along d. Clipped to [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    return _floored(_largest_nonincreasing_step(objective, x, np.asarray(d, dtype=float),
-                                                objective.value(x), tol), k, c)
 
 
 def momentum_step(x, z, v, k: int, c: float, problem):
@@ -349,11 +305,9 @@ def run(problem, cfg: SolverConfig, x0=None) -> Trajectory:
             break
 
         if cfg.variant == "plain":
-            x_next, st = rk_fw_step(x, k, cfg, problem)
-            gaps[k] = st.gap_at_start
+            x_next, gaps[k] = rk_fw_step(x, k, cfg, problem)
         elif cfg.variant == "line_search":
-            x_plain, st = rk_fw_step(x, k, cfg, problem)
-            gaps[k] = st.gap_at_start
+            x_plain, gaps[k] = rk_fw_step(x, k, cfg, problem)
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
             x_next, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)

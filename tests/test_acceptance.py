@@ -16,6 +16,7 @@ from rkfw import (
     L1Ball,
     LeastSquares,
     Logistic,
+    ProblemInstance,
     SolverConfig,
     TABLEAU_NAMES,
     absorption_time,
@@ -43,6 +44,19 @@ def _run(problem, name, iters, delta=1.0, variant="plain", record=False):
     cfg = SolverConfig(tableau=make_tableau(name), c=2.0, delta=delta,
                        max_iters=iters, variant=variant, record_iterates=record)
     return run(problem, cfg)
+
+
+class _RecordingRegion:
+    """A region that keeps every atom its lmo answers, in call order."""
+
+    def __init__(self, region):
+        self.lmo_of, self.atoms = region.lmo, []
+        self.membership_violation = region.membership_violation
+
+    def lmo(self, g):
+        atom = self.lmo_of(g)
+        self.atoms.append(atom)
+        return atom
 
 
 # Reference certificate values for the default schedule (c=2, delta=1),
@@ -103,11 +117,15 @@ def test_acceptance_03_lower_bound_band():
         if margin > 0:
             continue
         cfg = SolverConfig(tableau=t, c=2.0, delta=1.0)
+        region = _RecordingRegion(toy.region)
+        recording = ProblemInstance(toy.objective, region, toy.x0, toy.f_star, toy.label)
         worst = 0.0
         for k in sampled:
-            x_next, st = rk_fw_step(traj.iterates[k], int(k), cfg, toy)
+            region.atoms.clear()
+            x_next, _ = rk_fw_step(traj.iterates[k], int(k), cfg, recording)
             assert np.array_equal(x_next, traj.iterates[k + 1]), f"{name}: replay differs at k={k}"
-            pull = sum(w * a.dense() for w, a in zip(t.weights, st.atoms))
+            assert len(region.atoms) == t.q, f"{name}: {len(region.atoms)} atoms at k={k}"
+            pull = sum(w * a.dense() for w, a in zip(t.weights, region.atoms))
             worst = max(worst, float(np.max(np.abs(pull))))
         pulls[name] = worst
     table = "; ".join(f"{n} (margin {m:.3g}): k*env in [{lo:.3g}, {hi:.3g}]"

@@ -82,6 +82,34 @@ def test_bad_ref_delta_fails_before_any_run(tmp_path, monkeypatch, capsys, ref_d
 
 
 @pytest.mark.parametrize("flags,message", [
+    (["--delta", "-1"], "delta must be positive"),
+    (["--delta", "nan"], "delta must be positive"),
+    (["--iters", "-5"], "max_iters must be >= 0"),
+])
+def test_bad_schedule_is_named_before_the_reference(tmp_path, monkeypatch, capsys,
+                                                    flags, message):
+    monkeypatch.chdir(tmp_path)
+    for verb in ("solve", "tae"):
+        assert main([verb, "--problem", "triangle", *flags, "--ref-delta", "0.01"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ls_tol", ["0", "-1", "nan"])
+def test_bad_ls_tol_fails_before_any_run(tmp_path, monkeypatch, capsys, ls_tol):
+    # bisection would never narrow its bracket to ls_tol: the run would hang
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ls.cfg").write_text("problem = sensing\ntableau = euler, rk44\n"
+                                     f"variant = line_search\nls_tol = {ls_tol}\n")
+    assert main(["sweep", "--config", "ls.cfg"]) == 1
+    assert capsys.readouterr().err == "error: ls_tol must be positive\n"
+    assert main(["solve", "--problem", "triangle", "--variant", "line_search",
+                 "--ls-tol", ls_tol]) == 1
+    assert capsys.readouterr().err == "error: ls_tol must be positive\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ls.cfg"]
+
+
+@pytest.mark.parametrize("flags,message", [
     (["--ref-delta", "0.3"], "reference does not cover the trajectory time span"),
     (["--delta", "1", "--iters", "20", "--ref-delta", "0.1905"],
      "reference step must be <= trajectory step / 10"),

@@ -11,8 +11,8 @@ from rkfw.harness import ExperimentConfig, build_problem
 from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
                            make_triangle)
-from rkfw.solvers import (SolverConfig, _largest_nonincreasing_step, fw_gap,
-                          line_search_gamma, momentum_step, rk_fw_step, run)
+from rkfw.solvers import (SolverConfig, _search, _searched_step, fw_gap,
+                          momentum_step, rk_fw_step, run)
 from rkfw.tableau import TABLEAU_NAMES, make_tableau, stage_gammas
 
 
@@ -31,30 +31,49 @@ def cfg_for(name, **kw):
     return SolverConfig(tableau=make_tableau(name), **kw)
 
 
+def logged_calls(p, method="value"):
+    """Replace p.objective's `method` with one that logs the bytes of every
+    point it is called at; return the log."""
+    points = []
+    fn = getattr(p.objective, method)
+
+    def logged(x):
+        points.append(np.asarray(x).tobytes())
+        return fn(x)
+
+    setattr(p.objective, method, logged)
+    return points
+
+
+def as_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
 def test_euler_scalar_hand_step():
     p = scalar_box_problem()
+    stage_points = logged_calls(p, "gradient")
     # k=2, c=2: gamma=1/2, gradient at 0.5 is positive so the atom is -1
-    x_next, st_ = rk_fw_step(np.array([0.5]), 2, cfg_for("euler"), p)
+    x_next, _ = rk_fw_step(np.array([0.5]), 2, cfg_for("euler"), p)
     assert x_next == pytest.approx([-0.25], abs=0)
-    assert len(st_.xi) == 1 and len(st_.atoms) == 1
+    assert stage_points == [as_bytes(0.5)]
 
 
 def test_midpoint_scalar_hand_step_lands_on_zero():
     p = scalar_box_problem()
-    # stage 0: xi0 = 0.5(-1-0.5) = -0.75; stage 1 sees 0.125, pulls with
-    # gamma = 4/9 toward -1: xi1 = (4/9)(-9/8) = -1/2; weights (0,1)
-    x_next, st_ = rk_fw_step(np.array([0.5]), 2, cfg_for("midpoint"), p)
+    stage_points = logged_calls(p, "gradient")
+    # stage 0: xi0 = 0.5(-1-0.5) = -0.75; stage 1 sees 0.5 + 0.5 xi0 = 0.125,
+    # pulls with gamma = 4/9 toward -1: xi1 = (4/9)(-9/8) = -1/2; weights (0,1)
+    x_next, _ = rk_fw_step(np.array([0.5]), 2, cfg_for("midpoint"), p)
     assert x_next[0] == 0.0
-    assert st_.xi[0] == pytest.approx([-0.75], abs=0)
-    assert st_.xbar[1] == pytest.approx([0.125], abs=0)
+    assert stage_points == [as_bytes(0.5), as_bytes(0.125)]
 
 
 def test_triangle_first_step_hits_vertex():
     p = make_triangle()
-    x_next, st_ = rk_fw_step(p.x0, 0, cfg_for("euler"), p)
+    x_next, gap = rk_fw_step(p.x0, 0, cfg_for("euler"), p)
     # gamma(0) = 1: the step lands exactly on the chosen vertex
     assert np.array_equal(x_next, [1.0, 0.0])
-    assert st_.gap_at_start == pytest.approx(0.9)
+    assert gap == pytest.approx(0.9)
 
 
 @given(st.floats(-0.99, 0.99), st.integers(0, 50),
@@ -71,7 +90,8 @@ def test_euler_step_equals_classic_update(x, k, c):
 
 def reference_step(x, k, cfg, problem):
     """rk_fw_step's stage loop written out plainly: a fresh float copy of x
-    per stage, numpy-scalar tableau entries and the gammas as an array."""
+    per stage, numpy-scalar tableau entries and the gammas as an array.
+    Returns (x_next, gap, stage points)."""
     t = cfg.tableau
     gammas = stage_gammas(t, cfg.c, cfg.delta, k)
     xi, xbars = [], []
@@ -80,13 +100,16 @@ def reference_step(x, k, cfg, problem):
         for j in range(i):
             if t.a[i, j] != 0.0:
                 xb += t.a[i, j] * xi[j]
-        sd = problem.region.lmo(problem.objective.gradient(xb)).dense()
+        g = problem.objective.gradient(xb)
+        sd = problem.region.lmo(g).dense()
+        if i == 0:
+            gap = float(np.vdot(g, xb - sd))
         xi.append(gammas[i] * (sd - xb))
         xbars.append(xb)
     x_next = np.array(x, dtype=float, copy=True)
     for i in range(t.q):
         x_next += t.weights[i] * xi[i]
-    return x_next, xi, xbars
+    return x_next, gap, xbars
 
 
 def signed_zero_problem():
@@ -108,16 +131,20 @@ def signed_zero_problem():
 ], ids=["triangle", "interval", "sensing", "signed_zero"])
 @pytest.mark.parametrize("name", TABLEAU_NAMES)
 def test_step_is_bit_identical_to_reference(make, name):
-    # compared as bytes: np.array_equal takes -0.0 for +0.0
+    # compared as bytes: np.array_equal takes -0.0 for +0.0. The stage
+    # points are the points the step hands to the gradient
     p = make()
     cfg = cfg_for(name, delta=0.5)
+    stage_points = logged_calls(p, "gradient")
     x = p.x0
     for k in [*range(12), 100, 1001, 99999]:
-        x_next, st_ = rk_fw_step(x, k, cfg, p)
-        want, xi, xbars = reference_step(x, k, cfg, p)
+        stage_points.clear()
+        x_next, gap = rk_fw_step(x, k, cfg, p)
+        got = list(stage_points)
+        want, want_gap, xbars = reference_step(x, k, cfg, p)
         assert x_next.tobytes() == want.tobytes(), k
-        assert [v.tobytes() for v in st_.xi] == [v.tobytes() for v in xi], k
-        assert [v.tobytes() for v in st_.xbar] == [v.tobytes() for v in xbars], k
+        assert gap == want_gap, k
+        assert got == [v.tobytes() for v in xbars], k
         x = x_next
 
 
@@ -130,13 +157,25 @@ def test_midpoint_applies_its_zero_weight():
 
 @pytest.mark.parametrize("name", ["midpoint", "rk44", "rk38", "rk5"])
 def test_stage_reconstruction_identity(name):
+    # x_next = x + sum_i w_i gamma_i (s_i - xbar_i), rebuilt from the stage
+    # points the gradient sees and the atoms the oracle answers
     p = make_triangle()
     t = make_tableau(name)
+    stage_points, atoms, lmo = logged_calls(p, "gradient"), [], p.region.lmo
+
+    def logged_lmo(g):
+        atom = lmo(g)
+        atoms.append(atom.dense())
+        return atom
+
+    p.region.lmo = logged_lmo
     x = np.array([0.1, 0.4])
-    x_next, st_ = rk_fw_step(x, 3, cfg_for(name), p)
-    recon = x + sum(t.weights[i] * st_.xi[i] for i in range(t.q))
+    x_next, _ = rk_fw_step(x, 3, cfg_for(name), p)
+    xbars = [np.frombuffer(b) for b in stage_points]
+    assert len(xbars) == len(atoms) == t.q
+    recon = x + sum(w * gm * (s - xb) for w, gm, s, xb
+                    in zip(t.weights, stage_gammas(t, 2.0, 1.0, 3), atoms, xbars))
     assert x_next == pytest.approx(recon, abs=1e-12)
-    assert len(st_.xi) == t.q
 
 
 def test_fw_gap_frozen_values():
@@ -160,32 +199,47 @@ def test_fw_gap_dominates_suboptimality(a, b):
     assert fw_gap(x, p) >= h - 1e-12
 
 
+def search_gbar(objective, x, d):
+    x = np.array([x])
+    return _search(objective, x, np.array([d]), objective.value(x), 1e-10)[0]
+
+
 def test_line_search_far_root():
     # phi(gamma) = ((0.5 - 1.5 g)^2 - 0.25)/2 has roots 0 and 2/3; the
     # searched step is the far root, not the minimizer 1/3
-    obj = DistanceSq(np.array([0.0]))
-    g = line_search_gamma(np.array([0.5]), np.array([-1.5]), k=2, c=2.0,
-                          objective=obj)
-    assert g == pytest.approx(2.0 / 3.0, abs=1e-9)
-
-
-def test_line_search_floor_is_schedule():
-    obj = DistanceSq(np.array([0.0]))
-    # ascent direction: gbar = 0, so the schedule fraction wins
-    g = line_search_gamma(np.array([0.5]), np.array([1.0]), k=2, c=2.0,
-                          objective=obj)
-    assert g == pytest.approx(0.5, abs=1e-9)
-    # at k=0 the floor is already the full step
-    g = line_search_gamma(np.array([0.5]), np.array([1.0]), k=0, c=2.0,
-                          objective=obj)
-    assert g == 1.0
+    for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
+        assert search_gbar(obj, 0.5, -1.5) == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_line_search_full_step_shortcut():
+    for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
+        assert search_gbar(obj, 0.5, -0.5) == 1.0
+
+
+def test_line_search_floor_is_schedule():
+    # along d = 1 from 0, gbar ~ 0.6; the floor c/(c+k) = 6/7 lies in the
+    # pocket, where f = -1, so the schedule step is taken
+    x, d = np.array([0.0]), np.array([1.0])
+    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=1, c=6.0, tol=1e-10)
+    assert x_next.tobytes() == (x + (6.0 / 7.0) * d).tobytes()
+    assert f_next == -1.0
+
+
+def test_line_search_falls_back_where_the_floor_raises_f():
+    # the floor 6/8 lies past the pocket, where f rises: the step is gbar
+    x, d = np.array([0.0]), np.array([1.0])
+    gbar, values, _ = _search(Pocketed(), x, d, 0.0, 1e-10)
+    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=2, c=6.0, tol=1e-10)
+    assert gbar == pytest.approx(0.6, abs=1e-9)
+    assert x_next.tobytes() == (x + gbar * d).tobytes()
+    assert f_next == values[gbar] <= 0.0
+    # an ascent direction has gbar = 0; even the floor 1 at k = 0 raises f,
+    # and the step stays at x, whose f is known
     obj = DistanceSq(np.array([0.0]))
-    g = line_search_gamma(np.array([0.5]), np.array([-0.5]), k=5, c=2.0,
-                          objective=obj)
-    assert g == 1.0
+    for k in (0, 2):
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([1.0]),
+                                        0.125, k=k, c=2.0, tol=1e-10)
+        assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
 
 
 def test_run_row_count_and_columns():
@@ -288,20 +342,6 @@ def test_line_search_records_f_of_a_step_past_the_search():
     assert traj.fs.tobytes() == fresh.tobytes()
 
 
-def logged_values(p):
-    """Replace p's objective.value with one that logs the bytes of every
-    point it is called at; return the log."""
-    points = []
-    value = p.objective.value
-
-    def logged(x):
-        points.append(np.asarray(x).tobytes())
-        return value(x)
-
-    p.objective.value = logged
-    return points
-
-
 @pytest.mark.parametrize("name", ["euler", "rk44"])
 def test_line_search_evaluates_no_point_twice(name):
     # the next row's f is the one the search already computed there. On the
@@ -309,7 +349,7 @@ def test_line_search_evaluates_no_point_twice(name):
     # and x + 0 d equals x byte for byte, so its row reuses f(x)
     for make, least in ((make_triangle, 61), (lambda: make_sensing(seed=7000), 1)):
         p = make()
-        points = logged_values(p)
+        points = logged_calls(p)
         run(p, cfg_for(name, variant="line_search", max_iters=60))
         assert len(points) == len(set(points)) >= least
 
@@ -319,7 +359,7 @@ def test_line_search_calls_no_value_at_a_refused_step():
     # root of phi; the model settles that f rises there, so no value call
     # falls at the step the run refuses
     p = make_sensing(seed=7000)
-    log = logged_values(p)
+    log = logged_calls(p)
     cfg = cfg_for("euler", variant="line_search", max_iters=60, record_iterates=True)
     traj = run(p, cfg)
     points = set(log)
@@ -340,7 +380,7 @@ def test_stuck_step_evaluates_a_moved_zero():
     x0 = np.array([0.2, -0.0])
     p = ProblemInstance(DistanceSq(x0.copy()), signed_zero_problem().region, x0,
                         None, "stuck")
-    points = logged_values(p)
+    points = logged_calls(p)
     cfg = cfg_for("euler", variant="line_search", max_iters=1, record_iterates=True)
     traj = run(p, cfg)
     x_plain, _ = rk_fw_step(x0, 0, cfg, p)  # gamma_0 = 1, so d = x_plain - x0
@@ -386,10 +426,10 @@ def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, dire
             a, b, _ = obj.along(x, grad)
             d = -grad * (abs(b) / (2.0 * a) if a > 0 else 1.0) * 0.5
     fx = obj.value(x)
-    got = _largest_nonincreasing_step(obj, x, d, fx, 1e-10)
-    evaluated, calls, values = ValueOnly(obj), [], {}
+    got = _search(obj, x, d, fx, 1e-10)[0]
+    evaluated, calls = ValueOnly(obj), []
     evaluated.value = lambda y: calls.append(y) or obj.value(y)
-    want = _largest_nonincreasing_step(evaluated, x, d, fx, 1e-10, values)
+    want, values, _ = _search(evaluated, x, d, fx, 1e-10)
     assert got == want
     assert len(calls) == len(values)  # no gamma is evaluated twice
     assert obj.value(x + got * d) <= fx
@@ -492,6 +532,11 @@ def test_config_validation():
         cfg_for("euler", variant="fancy").validate()
     with pytest.raises(ValueError, match="max_iters"):
         cfg_for("euler", max_iters=-1).validate()
+    # bisection stops once its bracket is at most ls_tol wide, which adjacent
+    # floats never are for ls_tol <= 0: the run would never end
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^ls_tol must be positive$"):
+            cfg_for("euler", variant="line_search", ls_tol=tol).validate()
 
 
 class InfOracle:
