@@ -8,8 +8,8 @@ objectives, the multistage solver loop with its variants, and diagnostics
 
 __version__ = "0.1.0"  # set before the submodules load: harness writes it into manifests
 
-from .diagnostics import (DecreaseBoundParams, ZigzagReport,
-                          decrease_bound_check, fit_rate_slope,
+from .diagnostics import (ZigzagReport, decrease_bound_check,
+                          decrease_bound_d4, fit_rate_slope,
                           sup_envelope_all, zigzag_energy)
 from .flow import (FlowReference, absorption_time, closed_form_reference,
                    flow_bound, huber_flow_exact, reference_trajectory,
@@ -27,12 +27,11 @@ from .solvers import (SolverConfig, Trajectory, fw_gap, momentum_step,
                       rk_fw_step, run)
 from .tableau import (ButcherTableau, CertificateReport, TABLEAU_NAMES,
                       cancellability_margin, feasibility_certificate,
-                      load_tableau_file, make_tableau, resolve_tableau,
-                      validate_tableau)
+                      load_tableau_file, make_tableau, resolve_tableau)
 
 __all__ = [
     "ButcherTableau", "CertificateReport", "TABLEAU_NAMES", "make_tableau",
-    "resolve_tableau", "load_tableau_file", "validate_tableau",
+    "resolve_tableau", "load_tableau_file",
     "feasibility_certificate", "cancellability_margin",
     "Box", "L1Ball", "VertexHull", "NuclearBall", "DenseAtom",
     "PowerIterationError",
@@ -46,7 +45,7 @@ __all__ = [
     "reference_trajectory", "closed_form_reference",
     "total_accumulation_error",
     "ZigzagReport", "zigzag_energy", "sup_envelope_all",
-    "fit_rate_slope", "DecreaseBoundParams", "decrease_bound_check",
+    "fit_rate_slope", "decrease_bound_d4", "decrease_bound_check",
     "ExperimentConfig", "parse_config", "render", "load_svmlight",
     "load_movielens", "build_problem", "run_experiment",
 ]

@@ -11,7 +11,7 @@ from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
 
 __all__ = [
     "ZigzagReport", "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
-    "DecreaseBoundParams", "decrease_bound_check",
+    "decrease_bound_d4", "decrease_bound_check",
 ]
 
 
@@ -86,61 +86,28 @@ def fit_rate_slope(values, k_min: int, k_max: int) -> float:
     return float(slope)
 
 
-@dataclass
-class DecreaseBoundParams:
-    """Constants for the one-step decrease inequality of a q-stage scheme.
-
-    d4 bounds the second-order term of a composite step: with c1 = q * p_max
-    (p_max the largest column norm of the first-iteration mixing matrix) and
-    c2 = q * max |a_ij|, displacement and curvature radii are d2 = c1 * d
-    and d3 = c2 * c1 * d, giving
-        d4 = (l * d2^2 + 2 l * d2 * d3 + 2 * l2 * d3) / 2.
-    """
-    l: float
-    l2: float
-    d: float
-    p_max: float
-    q: int
-    a_max: float
-
-    @property
-    def c1(self):
-        return self.q * self.p_max
-
-    @property
-    def c2(self):
-        return self.q * self.a_max
-
-    @property
-    def d2(self):
-        return self.c1 * self.d
-
-    @property
-    def d3(self):
-        return self.c2 * self.c1 * self.d
-
-    @property
-    def d4(self):
-        return (self.l * self.d2 ** 2 + 2 * self.l * self.d2 * self.d3
-                + 2 * self.l2 * self.d3) / 2
-
-    @classmethod
-    def for_tableau(cls, t: ButcherTableau, c: float, l: float, l2: float,
-                    d: float) -> "DecreaseBoundParams":
-        p = _mixing_matrix(t, stage_gammas(t, c, 1.0, 1))
-        p_max = float(np.max(np.linalg.norm(p, axis=0)))  # max column norm
-        return cls(l=l, l2=l2, d=d, p_max=p_max, q=t.q,
-                   a_max=float(np.max(np.abs(t.a))))
+def decrease_bound_d4(t: ButcherTableau, c: float, l: float, l2: float,
+                      d: float) -> float:
+    """d4, which bounds the second-order term of a composite step of t in
+    the one-step decrease inequality: with c1 = q * p_max (p_max the largest
+    column norm of the first-iteration mixing matrix) and c2 = q * max |a_ij|,
+    displacement and curvature radii are d2 = c1 * d and d3 = c2 * c1 * d,
+    giving d4 = (l * d2^2 + 2 l * d2 * d3 + 2 * l2 * d3) / 2."""
+    p = _mixing_matrix(t, stage_gammas(t, c, 1.0, 1))
+    c1 = t.q * float(np.max(np.linalg.norm(p, axis=0)))  # max column norm
+    c2 = t.q * float(np.max(np.abs(t.a)))
+    d2 = c1 * d
+    d3 = c2 * c1 * d
+    return (l * d2 ** 2 + 2 * l * d2 * d3 + 2 * l2 * d3) / 2
 
 
-def decrease_bound_check(traj, params: DecreaseBoundParams, c: float):
+def decrease_bound_check(traj, d4: float, c: float):
     """Indices k >= 1 where the per-step decrease inequality fails.
 
     Checks h(k+1) - h(k) <= -gamma h(k) + d4 gamma^2 + 1e-9 with
     gamma = c/(c + k + 1) and h the objective above the known optimum.
     """
     h = traj.h()
-    d4 = params.d4
     out = []
     for k in range(1, len(h) - 1):
         gamma = c / (c + k + 1)

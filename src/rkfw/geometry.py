@@ -34,6 +34,11 @@ def _sign(v):
     return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
 
 
+def _excess(v) -> float:
+    """max(0.0, v), but NaN for a NaN v, where max gives 0.0."""
+    return 0.0 if v <= 0.0 else float(v)
+
+
 class PowerIterationError(RuntimeError):
     def __init__(self, residual, iterations):
         super().__init__(
@@ -46,7 +51,7 @@ class Box:
     """Hypercube [-alpha, alpha]^n."""
 
     def __init__(self, alpha: float, n: int):
-        if alpha <= 0:
+        if not alpha > 0:  # a NaN fails too
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.n = int(n)
@@ -56,7 +61,7 @@ class Box:
         return DenseAtom(-self.alpha * _sign(g))
 
     def membership_violation(self, x) -> float:
-        return float(max(0.0, np.max(np.abs(x)) - self.alpha))
+        return _excess(np.max(np.abs(x)) - self.alpha)
 
     def diameter(self) -> float:
         return 2.0 * self.alpha * np.sqrt(self.n)
@@ -66,7 +71,7 @@ class L1Ball:
     """{x : ||x||_1 <= alpha}. Atoms are signed scaled basis vectors."""
 
     def __init__(self, alpha: float, n: int):
-        if alpha <= 0:
+        if not alpha > 0:  # a NaN fails too
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.n = int(n)
@@ -80,7 +85,7 @@ class L1Ball:
         return DenseAtom(s)
 
     def membership_violation(self, x) -> float:
-        return float(max(0.0, np.abs(x).sum() - self.alpha))
+        return _excess(np.abs(x).sum() - self.alpha)
 
     def diameter(self) -> float:
         return 2.0 * self.alpha
@@ -91,7 +96,7 @@ def _barycentric_violation(m, coeffs, rhs):
     the most negative coefficient or the solve's residual."""
     r = m @ coeffs - rhs
     recon = math.sqrt(r.dot(r))  # np.linalg.norm(r), without its overhead
-    return float(max(0.0, -coeffs.min(), recon))
+    return _excess(max(-coeffs.min(), recon))
 
 
 class VertexHull:
@@ -134,8 +139,11 @@ class VertexHull:
         # rounding (about cond(m) eps |c|), so a point this far below the
         # snap threshold is interior under both. Any other point is
         # reported from the least-squares solution, digit for digit.
-        if _barycentric_violation(m, self.barycentric_inverse @ rhs, rhs) < 0.5e-12:
+        fast = _barycentric_violation(m, self.barycentric_inverse @ rhs, rhs)
+        if fast < 0.5e-12:
             return 0.0
+        if math.isnan(fast):  # a point with a NaN entry
+            return fast
         v = _barycentric_violation(m, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
         # snap solver noise to a clean zero for interior points
         return 0.0 if v < 1e-12 else v
@@ -150,7 +158,7 @@ class NuclearBall:
     """{X : sum of singular values <= alpha} over n-by-m matrices."""
 
     def __init__(self, alpha: float, shape):
-        if alpha <= 0:
+        if not alpha > 0:  # a NaN fails too
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
         self.shape = (int(shape[0]), int(shape[1]))
@@ -169,7 +177,7 @@ class NuclearBall:
 
     def membership_violation(self, x) -> float:
         sv = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
-        return float(max(0.0, sv.sum() - self.alpha))
+        return _excess(sv.sum() - self.alpha)
 
     def diameter(self) -> float:
         # ||X||_F <= ||X||_* <= alpha, so Frobenius distance <= 2 alpha

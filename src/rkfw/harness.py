@@ -18,7 +18,7 @@ from .diagnostics import zigzag_energy
 from .flow import check_reference, reference_trajectory, total_accumulation_error
 from .problems import (make_logistic, make_matrix_completion, make_scalar_huber,
                        make_sensing, make_sensing_logistic, make_triangle)
-from .solvers import VARIANTS, SolverConfig, run
+from .solvers import SolverConfig, run
 from .tableau import resolve_tableau
 
 __all__ = [
@@ -259,21 +259,16 @@ def build_problem(cfg: ExperimentConfig):
 
 def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
-    if cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {cfg.variant}")
     if any(w < 2 for w in cfg.windows):
         raise ValueError("window must be >= 2")
     if cfg.jobs != 1:
         raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
-    solver_cfgs = []
-    for name in cfg.tableau:
-        sc = SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
-                          delta=cfg.delta, max_iters=cfg.iters,
-                          variant=cfg.variant, ls_tol=cfg.ls_tol,
-                          record_iterates=(cfg.record_iterates or bool(cfg.windows)
-                                           or cfg.ref_delta is not None))
-        sc.validate()
-        solver_cfgs.append(sc)
+    record = cfg.record_iterates or bool(cfg.windows) or cfg.ref_delta is not None
+    solver_cfgs = [SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
+                                delta=cfg.delta, max_iters=cfg.iters,
+                                variant=cfg.variant, ls_tol=cfg.ls_tol,
+                                record_iterates=record)
+                   for name in cfg.tableau]
     if not solver_cfgs:
         raise ValueError("config names no tableau")
     # after the schedule checks: check_reference assumes a valid delta and iters

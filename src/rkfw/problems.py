@@ -21,8 +21,11 @@ __all__ = [
 TRIANGLE_VERTICES = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
+    """Checked when built: x0, kept as a read-only copy, must be finite
+    and feasible, and f(x0) no lower than a declared optimum."""
+
     objective: object
     region: object
     x0: np.ndarray
@@ -30,10 +33,14 @@ class ProblemInstance:
     label: str
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        if self.region.membership_violation(self.x0) > 1e-9:
+        x0 = np.array(self.x0, dtype=float)
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
+        if not np.isfinite(x0).all():
+            raise ValueError(f"{self.label}: x0 must be finite")
+        if self.region.membership_violation(x0) > 1e-9:
             raise ValueError(f"{self.label}: x0 is not feasible")
-        if self.f_star is not None and self.objective.value(self.x0) < self.f_star - 1e-12:
+        if self.f_star is not None and self.objective.value(x0) < self.f_star - 1e-12:
             raise ValueError(f"{self.label}: f(x0) below declared optimum")
 
 
@@ -49,7 +56,7 @@ def make_triangle(x_star=(0.2, 0.3)) -> ProblemInstance:
     if xs.shape != (2,):
         raise ValueError(f"x_star needs 2 coordinates, got {xs.size}")
     coeffs = hull.barycentric_inverse @ np.append(xs, 1.0)
-    if np.any(coeffs <= 1e-12):
+    if not np.all(coeffs > 1e-12):  # a NaN coordinate fails too
         raise ValueError("x_star must lie strictly inside the triangle")
     return ProblemInstance(
         objective=DistanceSq(xs),

@@ -7,6 +7,7 @@ convex combination of the current point and the atoms it queried, which is
 what keeps iterates inside the feasible region.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,6 @@ __all__ = [
     "ButcherTableau",
     "TABLEAU_NAMES",
     "make_tableau",
-    "validate_tableau",
     "load_tableau_file",
     "resolve_tableau",
     "feasibility_certificate",
@@ -27,10 +27,34 @@ __all__ = [
 ]
 
 
+def _tableau_violations(a, weights, offsets) -> list:
+    """The structural rules a tableau breaks; empty when it is valid.
+    Non-finite entries are reported alone, ahead of the shape."""
+    if not all(np.isfinite(v).all() for v in (a, weights, offsets)):
+        return ["entries must be finite"]
+    q = len(weights)
+    if a.shape != (q, q):
+        return [f"A must be {q}x{q}, got {a.shape}"]
+    out = []
+    if np.any(np.triu(a) != 0.0):
+        out.append("not strictly lower triangular")
+    if abs(float(weights.sum()) - 1.0) > 1e-12:
+        out.append(f"sum(weights) != 1 (got {weights.sum()!r})")
+    if len(offsets) != q:
+        out.append("offsets length mismatch")
+    else:
+        if offsets[0] != 0.0:
+            out.append("first offset must be 0")
+        if np.any(offsets < 0.0) or np.any(offsets > 1.0):
+            out.append("offsets must lie in [0, 1]")
+    return out
+
+
 @dataclass(frozen=True)
 class ButcherTableau:
     """One explicit RK scheme: strictly lower triangular A, unit-sum weights,
-    per-stage time offsets in [0, 1]."""
+    per-stage time offsets in [0, 1]. Checked when built; the arrays are
+    read-only copies, so the floats cached below cannot go stale."""
 
     name: str
     a: np.ndarray
@@ -42,13 +66,15 @@ class ButcherTableau:
         return len(self.weights)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
+        for field in ("a", "weights", "offsets"):
+            v = np.array(getattr(self, field), dtype=float)
+            v.flags.writeable = False
+            object.__setattr__(self, field, v)
+        bad = _tableau_violations(self.a, self.weights, self.offsets)
+        if bad:
+            raise ValueError(f"{self.name}: invalid tableau: {'; '.join(bad)}")
 
-    # The step reads the tableau as Python floats, built on first use and
-    # kept: the arrays above are not to be changed after construction.
-
+    # the step reads the tableau as Python floats, built on first use
     @cached_property
     def stage_terms(self) -> tuple:
         """Per stage i, the (j, a[i][j]) pairs with j < i and a[i][j] != 0:
@@ -119,29 +145,6 @@ def make_tableau(name: str) -> ButcherTableau:
         ) from None
 
 
-def validate_tableau(t: ButcherTableau) -> list:
-    """Return a list of violated structural constraints, empty when valid."""
-    if not all(np.isfinite(v).all() for v in (t.a, t.weights, t.offsets)):
-        return ["entries must be finite"]
-    out = []
-    q = t.q
-    if t.a.shape != (q, q):
-        out.append(f"A must be {q}x{q}, got {t.a.shape}")
-        return out
-    if np.any(np.triu(t.a) != 0.0):
-        out.append("not strictly lower triangular")
-    if abs(float(t.weights.sum()) - 1.0) > 1e-12:
-        out.append(f"sum(weights) != 1 (got {t.weights.sum()!r})")
-    if len(t.offsets) != q:
-        out.append("offsets length mismatch")
-    else:
-        if t.offsets[0] != 0.0:
-            out.append("first offset must be 0")
-        if np.any(t.offsets < 0.0) or np.any(t.offsets > 1.0):
-            out.append("offsets must lie in [0, 1]")
-    return out
-
-
 def load_tableau_file(path) -> ButcherTableau:
     """Parse a plain-text tableau: line 1 is q, then q rows of A, a weights
     row, and an offsets row (whitespace separated)."""
@@ -163,11 +166,7 @@ def load_tableau_file(path) -> ButcherTableau:
         raise ValueError(f"{path}: non-numeric entry ({exc})") from None
     if a.shape != (q, q) or len(weights) != q or len(offsets) != q:
         raise ValueError(f"{path}: row lengths inconsistent with q={q}")
-    t = ButcherTableau(name=str(path), a=a, weights=weights, offsets=offsets)
-    bad = validate_tableau(t)
-    if bad:
-        raise ValueError(f"{path}: invalid tableau: {'; '.join(bad)}")
-    return t
+    return ButcherTableau(name=str(path), a=a, weights=weights, offsets=offsets)
 
 
 def resolve_tableau(name: str) -> ButcherTableau:
@@ -180,12 +179,15 @@ def resolve_tableau(name: str) -> ButcherTableau:
 
 
 def validate_schedule(c: float, delta: float):
-    """Raise ValueError unless the schedule constant c >= 1 and delta > 0
-    (a NaN fails both)."""
+    """Raise ValueError unless the schedule constant c >= 1 and delta > 0,
+    both finite (a NaN fails the bound)."""
     if not c >= 1.0:
         raise ValueError("schedule constant c must be >= 1")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
+    for key, v in (("schedule constant c", c), ("delta", delta)):
+        if math.isinf(v):
+            raise ValueError(f"{key} must be finite")
 
 
 @dataclass
@@ -207,9 +209,6 @@ def _mixing_matrix(t: ButcherTableau, gammas: np.ndarray) -> np.ndarray:
     rhs = np.diag(gammas)
     pt = np.empty((q, q))
     for i in range(q):
-        # m[i, i] == 1 by construction; guard anyway
-        if m[i, i] == 0.0:
-            raise ArithmeticError("singular stage system")
         pt[i] = rhs[i] - m[i, :i] @ pt[:i]
     return pt.T
 
@@ -233,9 +232,6 @@ def feasibility_certificate(t: ButcherTableau, c: float, delta: float,
     stays feasible. The report also records whether the sup norm of z(k)
     decays monotonically over the computed range.
     """
-    bad = validate_tableau(t)
-    if bad:
-        raise ValueError(f"invalid tableau: {'; '.join(bad)}")
     validate_schedule(c, delta)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from rkfw import (
-    DecreaseBoundParams,
     DistanceSq,
     HuberMatrix,
     HuberScalar,
@@ -23,6 +22,7 @@ from rkfw import (
     cancellability_margin,
     check_gradient,
     decrease_bound_check,
+    decrease_bound_d4,
     feasibility_certificate,
     fit_rate_slope,
     huber_flow_exact,
@@ -210,9 +210,8 @@ def test_acceptance_09_per_step_decrease_bound():
     traj = _run(tri, "rk44", 1001)
     # L=1 (quadratic), diameter D=2; composition Lipschitz bound from the
     # same diameter.
-    params = DecreaseBoundParams.for_tableau(make_tableau("rk44"), 2.0,
-                                             l=1.0, l2=2.0, d=2.0)
-    violations = [k for k in decrease_bound_check(traj, params, 2.0) if k <= 1000]
+    d4 = decrease_bound_d4(make_tableau("rk44"), 2.0, l=1.0, l2=2.0, d=2.0)
+    violations = [k for k in decrease_bound_check(traj, d4, 2.0) if k <= 1000]
     assert violations == [], f"decrease inequality failed at k={violations[:10]}"
 
 

@@ -51,6 +51,34 @@ def test_certify_rejects_what_solve_rejects(tmp_path, capsys, tableau, c, delta,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, message", [
+    ("c", "schedule constant c must be finite"),
+    ("delta", "delta must be finite"),
+])
+def test_infinite_schedule_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                                key, message):
+    # an infinite c or delta makes every step fraction NaN
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inf.cfg").write_text(f"problem = triangle\ntableau = euler, rk44\n"
+                                      f"{key} = inf\n")
+    for argv in (["certify", "--tableau", "rk44", f"--{key}", "inf"],
+                 ["solve", "--problem", "triangle", "--iters", "3", f"--{key}", "inf"],
+                 ["sweep", "--config", "inf.cfg"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["inf.cfg"]
+
+
+@pytest.mark.parametrize("problem", ["sensing", "sensing_logistic"])
+def test_nan_alpha_fails_before_any_run(tmp_path, monkeypatch, capsys, problem):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", problem, "--m", "20", "--n", "5",
+                 "--alpha", "nan"]) == 1
+    assert capsys.readouterr().err == "error: alpha must be positive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", [
     "2\n0 0\nnan 0\n0 1\n0 0.5\n",      # nan in A
     "2\n0 0\n0.5 0\ninf -inf\n0 0.5\n",  # weights that "sum" to nan

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkfw.diagnostics import (DecreaseBoundParams, decrease_bound_check,
+from rkfw.diagnostics import (decrease_bound_check, decrease_bound_d4,
                               fit_rate_slope, sup_envelope_all, zigzag_energy)
 from rkfw.problems import make_triangle
 from rkfw.solvers import SolverConfig, run
-from rkfw.tableau import make_tableau
+from rkfw.tableau import ButcherTableau, make_tableau, stage_gammas
 
 STAIR = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)]
 
@@ -136,38 +136,44 @@ def test_fit_rate_slope_errors():
         fit_rate_slope(vals, 2, 2)
 
 
-def test_decrease_bound_params_composition():
-    p = DecreaseBoundParams(l=1.0, l2=2.0, d=2.0, p_max=0.5, q=4, a_max=1.0)
-    assert p.c1 == 2.0
-    assert p.c2 == 4.0
-    assert p.d2 == 4.0
-    assert p.d3 == 16.0
-    assert p.d4 == pytest.approx((1.0 * 16 + 2 * 1.0 * 4 * 16 + 2 * 2.0 * 16) / 2)
+def d4_formula(q, p_max, a_max, l, l2, d):
+    """d4 from its documented composition, step by step."""
+    c1, c2 = q * p_max, q * a_max
+    d2, d3 = c1 * d, c2 * c1 * d
+    return (l * d2 ** 2 + 2 * l * d2 * d3 + 2 * l2 * d3) / 2
 
 
-def test_for_tableau_euler_pmax_is_first_gamma():
-    t = make_tableau("euler")
-    p = DecreaseBoundParams.for_tableau(t, c=2.0, l=1.0, l2=0.0, d=2.0)
-    # one stage: P reduces to the scalar gamma(1) = 2/3
-    assert p.p_max == pytest.approx(2.0 / 3.0)
-    assert p.q == 1 and p.a_max == 0.0
+def test_decrease_bound_d4_composition():
+    # A = [[0, 0], [1, 0]] with both stages at gamma(1) = 2/3: the mixing
+    # matrix is [[2/3, -4/9], [0, 2/3]], whose larger column norm is sqrt(52)/9
+    t = ButcherTableau("two", [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5], [0.0, 0.0])
+    d4 = decrease_bound_d4(t, c=2.0, l=1.0, l2=2.0, d=2.0)
+    assert d4 == pytest.approx(d4_formula(2, np.sqrt(52) / 9, 1.0, 1.0, 2.0, 2.0),
+                               rel=1e-15)
 
 
-def test_for_tableau_matches_dense_solve():
-    from rkfw.tableau import stage_gammas
+def test_decrease_bound_d4_euler_pmax_is_first_gamma():
+    # one stage: P reduces to the scalar gamma(1) = 2/3, and a_max = 0
+    d4 = decrease_bound_d4(make_tableau("euler"), c=2.0, l=1.0, l2=0.0, d=2.0)
+    assert d4 == pytest.approx(d4_formula(1, 2.0 / 3.0, 0.0, 1.0, 0.0, 2.0))
+    assert d4 == pytest.approx(8.0 / 9.0)
+
+
+def test_decrease_bound_d4_matches_dense_solve():
     t = make_tableau("rk44")
-    p = DecreaseBoundParams.for_tableau(t, c=2.0, l=1.0, l2=2.0, d=2.0)
     g = np.diag(stage_gammas(t, 2.0, 1.0, 1))
     dense = g @ np.linalg.inv(np.eye(4) + t.a.T @ g)
-    assert p.p_max == pytest.approx(np.linalg.norm(dense, axis=0).max(), abs=1e-12)
+    p_max = np.linalg.norm(dense, axis=0).max()
+    d4 = decrease_bound_d4(t, c=2.0, l=1.0, l2=2.0, d=2.0)
+    assert d4 == pytest.approx(d4_formula(4, p_max, 1.0, 1.0, 2.0, 2.0), rel=1e-12)
+    assert d4 == 170.66666666666666
 
 
 def test_decrease_bound_clean_run_has_no_violations():
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=make_tableau("rk44"), max_iters=300))
-    params = DecreaseBoundParams.for_tableau(make_tableau("rk44"), c=2.0,
-                                             l=1.0, l2=2.0, d=2.0)
-    assert decrease_bound_check(traj, params, c=2.0) == []
+    d4 = decrease_bound_d4(make_tableau("rk44"), c=2.0, l=1.0, l2=2.0, d=2.0)
+    assert decrease_bound_check(traj, d4, c=2.0) == []
 
 
 def test_decrease_bound_flags_stalled_series():
@@ -175,9 +181,8 @@ def test_decrease_bound_flags_stalled_series():
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=make_tableau("rk44"), max_iters=6))
     traj.fs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    params = DecreaseBoundParams(l=1.0, l2=0.0, d=2.0, p_max=0.5, q=1,
-                                 a_max=0.0)
-    bad = decrease_bound_check(traj, params, c=2.0)
+    d4 = 0.5  # l = 1, d2 = 1, d3 = 0
+    bad = decrease_bound_check(traj, d4, c=2.0)
     assert bad == [1, 2, 3, 4, 5]
 
 
@@ -185,15 +190,13 @@ def test_decrease_bound_needs_optimum():
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=make_tableau("euler"), max_iters=4))
     traj.f_star = None
-    params = DecreaseBoundParams(l=1.0, l2=0.0, d=2.0, p_max=0.5, q=1,
-                                 a_max=0.0)
+    d4 = 0.5  # l = 1, d2 = 1, d3 = 0
     with pytest.raises(ValueError, match="optimum"):
-        decrease_bound_check(traj, params, c=2.0)
+        decrease_bound_check(traj, d4, c=2.0)
 
 
 def test_decrease_bound_length_two_trajectory():
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=make_tableau("euler"), max_iters=1))
-    params = DecreaseBoundParams(l=1.0, l2=0.0, d=2.0, p_max=0.5, q=1,
-                                 a_max=0.0)
-    assert decrease_bound_check(traj, params, c=2.0) == []
+    d4 = 0.5  # l = 1, d2 = 1, d3 = 0
+    assert decrease_bound_check(traj, d4, c=2.0) == []

@@ -125,6 +125,7 @@ def test_hull_membership_matches_lstsq(seed, n):
     # strictly interior: every barycentric coordinate >= 0.1 / 1.5
     inside = (0.1 + rng.dirichlet(np.ones(n + 1))) / (1.0 + 0.1 * (n + 1))
     assert hull.membership_violation(inside @ vs) == 0.0 == lstsq_membership(vs, inside @ vs)
+    assert not np.signbit(hull.membership_violation(inside @ vs))
     j = int(rng.integers(n + 1))
     # on the facet opposite vertex j: both solves snap to 0
     facet = inside.copy()
@@ -151,6 +152,41 @@ def test_box_and_l1_membership():
     assert Box(1.0, 2).membership_violation([1.5, 0.0]) == pytest.approx(0.5)
     assert L1Ball(1.0, 2).membership_violation([0.6, -0.4]) == 0.0
     assert L1Ball(1.0, 2).membership_violation([0.8, -0.4]) == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("region, x", [
+    (Box(1.0, 2), [np.nan, 0.0]),
+    (L1Ball(1.0, 2), [0.0, np.nan]),
+    (VertexHull(TRIANGLE), [np.nan, 0.0]),
+    (VertexHull(TRIANGLE), [0.0, np.nan]),
+], ids=["box", "l1", "hull-x", "hull-y"])
+def test_nan_point_is_not_feasible(region, x):
+    # max(0.0, nan) is 0.0: a bare max would report the point as feasible
+    assert np.isnan(region.membership_violation(x))
+
+
+def test_nuclear_nan_point_is_not_feasible():
+    with pytest.raises(np.linalg.LinAlgError):
+        NuclearBall(1.0, (2, 2)).membership_violation(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("make", [lambda a: Box(a, 2), lambda a: L1Ball(a, 2),
+                                  lambda a: NuclearBall(a, (2, 2))],
+                         ids=["box", "l1", "nuclear"])
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan])
+def test_regions_reject_bad_alpha(make, alpha):
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        make(alpha)
+
+
+@given(vectors, st.floats(0.5, 20.0))
+def test_finite_membership_keeps_its_digits(x, alpha):
+    # the NaN rule changes no finite answer, not even the sign of a zero
+    for region, excess in ((Box(alpha, len(x)), np.max(np.abs(x)) - alpha),
+                           (L1Ball(alpha, len(x)), np.abs(x).sum() - alpha)):
+        got = region.membership_violation(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(max(0.0, excess)).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,34 @@ def test_problem_instance_rejects_infeasible_start():
             f_star=0.0,
             label="bad",
         )
+
+
+@pytest.mark.parametrize("x0", [[np.nan], [np.inf]])
+def test_problem_instance_rejects_non_finite_start(x0):
+    with pytest.raises(ValueError, match="^bad: x0 must be finite$"):
+        ProblemInstance(
+            objective=make_scalar_huber(0.5).objective,
+            region=Box(1.0, 1),
+            x0=np.array(x0),
+            f_star=None,
+            label="bad",
+        )
+
+
+def test_triangle_rejects_nan_target():
+    with pytest.raises(ValueError, match="strictly inside"):
+        make_triangle((np.nan, 0.3))
+
+
+def test_problem_instance_is_frozen_with_a_read_only_start():
+    x0 = np.array([0.5])
+    p = ProblemInstance(make_scalar_huber(0.5).objective, Box(1.0, 1), x0, 0.0, "p")
+    x0[0] = 2.0  # the caller's array stays its own
+    assert p.x0[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        p.x0[0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        p.x0 = np.array([2.0])
 
 
 def test_problem_instance_rejects_start_below_optimum():

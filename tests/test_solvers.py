@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 
@@ -187,6 +188,8 @@ def test_fw_gap_frozen_values():
 def test_fw_gap_rejects_infeasible():
     with pytest.raises(ValueError, match="not feasible"):
         fw_gap(np.array([2.0, 2.0]), make_triangle())
+    with pytest.raises(ValueError, match="not feasible"):
+        fw_gap(np.array([np.nan, 0.0]), make_triangle())
 
 
 @given(st.floats(-0.9, 0.9), st.floats(-0.45, 0.45))
@@ -262,8 +265,10 @@ def test_run_zero_iters():
 
 
 def test_run_rejects_infeasible_start():
-    with pytest.raises(ValueError, match="not feasible"):
-        run(make_triangle(), cfg_for("euler"), x0=np.array([2.0, 2.0]))
+    # run has no start of its own: an infeasible one cannot become a problem
+    p = make_triangle()
+    with pytest.raises(ValueError, match="^triangle: x0 is not feasible$"):
+        ProblemInstance(p.objective, p.region, np.array([2.0, 2.0]), p.f_star, p.label)
 
 
 def test_trajectory_h_requires_optimum():
@@ -291,9 +296,8 @@ def test_line_search_run_is_monotone_sensing():
 def test_line_search_fallback_keeps_monotone():
     # from 0.9 at k=0 the schedule forces gamma=1, which would overshoot to
     # f(-1) > f(0.9); the fallback rescales to the non-increasing root
-    p = scalar_box_problem()
-    traj = run(p, cfg_for("euler", variant="line_search", max_iters=3),
-               x0=np.array([0.9]))
+    p = dataclasses.replace(scalar_box_problem(), x0=np.array([0.9]))
+    traj = run(p, cfg_for("euler", variant="line_search", max_iters=3))
     assert traj.fs[1] <= traj.fs[0] + 1e-12
     assert np.all(np.diff(traj.fs) <= 1e-12)
 
@@ -518,25 +522,39 @@ def test_momentum_run_feasible_and_converges():
 
 def test_momentum_rejects_multistage_and_delta():
     with pytest.raises(ValueError, match="one-stage"):
-        cfg_for("rk44", variant="momentum").validate()
+        cfg_for("rk44", variant="momentum")
     with pytest.raises(ValueError, match="delta = 1"):
-        cfg_for("euler", variant="momentum", delta=0.5).validate()
+        cfg_for("euler", variant="momentum", delta=0.5)
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="c must be"):
-        cfg_for("euler", c=0.5).validate()
+        cfg_for("euler", c=0.5)
     with pytest.raises(ValueError, match="delta"):
-        cfg_for("euler", delta=0.0).validate()
+        cfg_for("euler", delta=0.0)
     with pytest.raises(ValueError, match="variant"):
-        cfg_for("euler", variant="fancy").validate()
+        cfg_for("euler", variant="fancy")
     with pytest.raises(ValueError, match="max_iters"):
-        cfg_for("euler", max_iters=-1).validate()
+        cfg_for("euler", max_iters=-1)
     # bisection stops once its bracket is at most ls_tol wide, which adjacent
     # floats never are for ls_tol <= 0: the run would never end
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="^ls_tol must be positive$"):
-            cfg_for("euler", variant="line_search", ls_tol=tol).validate()
+            cfg_for("euler", variant="line_search", ls_tol=tol)
+    # an infinite c or delta makes every step fraction NaN
+    with pytest.raises(ValueError, match="^schedule constant c must be finite$"):
+        cfg_for("euler", c=float("inf"))
+    with pytest.raises(ValueError, match="^delta must be finite$"):
+        cfg_for("euler", delta=float("inf"))
+
+
+def test_config_is_frozen():
+    cfg = cfg_for("euler")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_iters = -1
+    # a changed copy is checked like a new one
+    with pytest.raises(ValueError, match="max_iters"):
+        dataclasses.replace(cfg, max_iters=-1)
 
 
 class InfOracle:

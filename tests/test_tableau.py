@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from rkfw.tableau import (ButcherTableau, TABLEAU_NAMES, cancellability_margin,
                           feasibility_certificate, load_tableau_file,
-                          make_tableau, resolve_tableau, stage_gammas,
-                          validate_tableau)
+                          make_tableau, resolve_tableau, stage_gammas)
+from rkfw.problems import make_triangle
+from rkfw.solvers import SolverConfig, run
 
 
 def mixing_oracle(t, c, delta, k):
@@ -32,7 +34,6 @@ def test_builtin_names():
     assert TABLEAU_NAMES == ("euler", "midpoint", "rk38", "rk44", "rk5")
     for name in TABLEAU_NAMES:
         t = make_tableau(name)
-        assert validate_tableau(t) == []
         assert t.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -130,20 +131,30 @@ def test_cancellability_margin_rejects_huge_q():
 
 
 def test_validate_catches_upper_triangle():
-    t = ButcherTableau("bad", [[0.0, 0.5], [0.5, 0.0]], [0.5, 0.5], [0.0, 0.5])
-    assert any("lower triangular" in v for v in validate_tableau(t))
+    with pytest.raises(ValueError, match="^bad: invalid tableau: not strictly lower triangular$"):
+        ButcherTableau("bad", [[0.0, 0.5], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
 
 
 def test_validate_catches_weight_sum():
-    t = ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.5, 0.6], [0.0, 0.5])
-    assert any("sum(weights)" in v for v in validate_tableau(t))
+    with pytest.raises(ValueError, match=r"^bad: invalid tableau: sum\(weights\) != 1 \(got "):
+        ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.5, 0.6], [0.0, 0.5])
 
 
 def test_validate_catches_offsets():
-    t = ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.1, 0.5])
-    assert any("first offset" in v for v in validate_tableau(t))
-    t = ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 1.5])
-    assert any("offsets must lie" in v for v in validate_tableau(t))
+    with pytest.raises(ValueError, match="^bad: invalid tableau: first offset must be 0$"):
+        ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.1, 0.5])
+    with pytest.raises(ValueError, match=r"^bad: invalid tableau: offsets must lie in \[0, 1\]$"):
+        ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 1.5])
+    with pytest.raises(ValueError, match="^bad: invalid tableau: offsets length mismatch$"):
+        ButcherTableau("bad", [[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0])
+
+
+def test_validate_catches_shape_and_reports_every_rule():
+    with pytest.raises(ValueError, match=r"^bad: invalid tableau: A must be 2x2, got \(1, 1\)$"):
+        ButcherTableau("bad", [[0.0]], [0.0, 1.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="^bad: invalid tableau: not strictly lower "
+                                         "triangular; first offset must be 0$"):
+        ButcherTableau("bad", [[1.0]], [1.0], [0.5])
 
 
 @pytest.mark.parametrize("a, weights, offsets", [
@@ -153,14 +164,39 @@ def test_validate_catches_offsets():
     ([[np.nan]], [0.0, 1.0], [0.0, 0.5]),  # reported ahead of the shape
 ], ids=["nan-in-a", "inf-weights", "inf-offset", "nan-wrong-shape"])
 def test_validate_catches_non_finite_entries(a, weights, offsets):
-    t = ButcherTableau("bad", a, weights, offsets)
-    assert validate_tableau(t) == ["entries must be finite"]
+    with pytest.raises(ValueError, match="^bad: invalid tableau: entries must be finite$"):
+        ButcherTableau("bad", a, weights, offsets)
 
 
 def test_certificate_rejects_invalid_tableau():
-    t = ButcherTableau("bad", [[0.0, 1.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
+    # the check runs when the tableau is built, so no invalid tableau
+    # reaches feasibility_certificate
     with pytest.raises(ValueError, match="invalid tableau"):
-        feasibility_certificate(t, 2.0, 1.0, 1)
+        ButcherTableau("bad", [[0.0, 1.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
+
+
+def test_tableau_arrays_are_read_only_copies():
+    a = np.array([[0.0, 0.0], [0.5, 0.0]])
+    t = ButcherTableau("mid", a, [0.0, 1.0], [0.0, 0.5])
+    a[1, 0] = 0.25  # the caller's array stays its own, and writable
+    assert t.a[1, 0] == 0.5
+    for arr in (t.a, t.weights, t.offsets):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        t.a = a
+
+
+def test_tableau_cannot_change_under_its_cached_floats():
+    # after a run has cached the step's floats, the entries it checked and
+    # certified are the ones it steps with
+    t = make_tableau("midpoint")
+    cfg = SolverConfig(tableau=t, max_iters=3)
+    before = run(make_triangle(), cfg).fs.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        t.a[1, 0] = 0.25
+    assert t.stage_terms == ((), ((0, 0.5),))
+    assert run(make_triangle(), cfg).fs.tobytes() == before
 
 
 def test_load_tableau_file_roundtrip(tmp_path):
