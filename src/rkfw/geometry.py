@@ -34,6 +34,15 @@ def _sign(v):
     return np.where(np.asarray(v) >= 0.0, 1.0, -1.0)
 
 
+def _radius(alpha) -> float:
+    """alpha as a float, once checked positive and finite; a NaN fails too."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if alpha == math.inf:
+        raise ValueError("alpha must be finite")
+    return float(alpha)
+
+
 def _excess(v) -> float:
     """max(0.0, v), but NaN for a NaN v, where max gives 0.0."""
     return 0.0 if v <= 0.0 else float(v)
@@ -51,9 +60,7 @@ class Box:
     """Hypercube [-alpha, alpha]^n."""
 
     def __init__(self, alpha: float, n: int):
-        if not alpha > 0:  # a NaN fails too
-            raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
+        self.alpha = _radius(alpha)
         self.n = int(n)
 
     def lmo(self, g) -> DenseAtom:
@@ -63,17 +70,12 @@ class Box:
     def membership_violation(self, x) -> float:
         return _excess(np.max(np.abs(x)) - self.alpha)
 
-    def diameter(self) -> float:
-        return 2.0 * self.alpha * np.sqrt(self.n)
-
 
 class L1Ball:
     """{x : ||x||_1 <= alpha}. Atoms are signed scaled basis vectors."""
 
     def __init__(self, alpha: float, n: int):
-        if not alpha > 0:  # a NaN fails too
-            raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
+        self.alpha = _radius(alpha)
         self.n = int(n)
 
     def lmo(self, g) -> DenseAtom:
@@ -86,9 +88,6 @@ class L1Ball:
 
     def membership_violation(self, x) -> float:
         return _excess(np.abs(x).sum() - self.alpha)
-
-    def diameter(self) -> float:
-        return 2.0 * self.alpha
 
 
 def _barycentric_violation(m, coeffs, rhs):
@@ -148,19 +147,12 @@ class VertexHull:
         # snap solver noise to a clean zero for interior points
         return 0.0 if v < 1e-12 else v
 
-    def diameter(self) -> float:
-        vs = self.vertices
-        d2 = np.sum((vs[:, None, :] - vs[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(np.max(d2)))
-
 
 class NuclearBall:
     """{X : sum of singular values <= alpha} over n-by-m matrices."""
 
     def __init__(self, alpha: float, shape):
-        if not alpha > 0:  # a NaN fails too
-            raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
+        self.alpha = _radius(alpha)
         self.shape = (int(shape[0]), int(shape[1]))
 
     def lmo(self, g, max_iter: int = 5000) -> DenseAtom:
@@ -178,10 +170,6 @@ class NuclearBall:
     def membership_violation(self, x) -> float:
         sv = np.linalg.svd(np.asarray(x, dtype=float), compute_uv=False)
         return _excess(sv.sum() - self.alpha)
-
-    def diameter(self) -> float:
-        # ||X||_F <= ||X||_* <= alpha, so Frobenius distance <= 2 alpha
-        return 2.0 * self.alpha
 
 
 def _top_singular_pair(g, max_iter=5000, tol=1e-10):

@@ -48,7 +48,6 @@ class ExperimentConfig:
     windows: tuple = (5, 20)
     ref_delta: float = None
     record_iterates: bool = False
-    ls_tol: float = 1e-10
     out_dir: str = "runs"
     jobs: int = 1  # only 1: sweeps run serially; kept so manifests rerun
     # problem parameters; each problem reads the subset it understands
@@ -88,6 +87,10 @@ VALUE_PARSERS = {f.name: _list_of(_LIST_ELEMS[f.name]) if f.type is tuple
                  else _bool if f.type is bool else f.type
                  for f in dataclasses.fields(ExperimentConfig)}
 
+#: keys that are no longer settings, each with the one value that manifests
+#: written before it went carry; parse_config accepts that value and drops it
+_RETIRED = {"ls_tol": 1e-10}
+
 
 def parse_config(text) -> ExperimentConfig:
     """Parse `key = value` lines into a typed config with defaults filled in."""
@@ -100,15 +103,19 @@ def parse_config(text) -> ExperimentConfig:
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, rest = key.strip(), rest.strip()
-        if key not in VALUE_PARSERS:
+        if key not in VALUE_PARSERS and key not in _RETIRED:
             raise ValueError(f"unknown key: {key}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key: {key}")
         try:
-            values[key] = VALUE_PARSERS[key](rest)
+            values[key] = (VALUE_PARSERS.get(key) or type(_RETIRED[key]))(rest)
         except ValueError:
             raise ValueError(
                 f"line {lineno}: malformed value for {key}: {rest!r}") from None
+    for key, kept in _RETIRED.items():
+        if key in values and values.pop(key) != kept:
+            raise ValueError(
+                f"{key} is no longer a setting; only {key} = {kept!r} is accepted")
     if "problem" not in values:
         raise ValueError("missing required key: problem")
     return ExperimentConfig(**values)
@@ -266,8 +273,7 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     record = cfg.record_iterates or bool(cfg.windows) or cfg.ref_delta is not None
     solver_cfgs = [SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
                                 delta=cfg.delta, max_iters=cfg.iters,
-                                variant=cfg.variant, ls_tol=cfg.ls_tol,
-                                record_iterates=record)
+                                variant=cfg.variant, record_iterates=record)
                    for name in cfg.tableau]
     if not solver_cfgs:
         raise ValueError("config names no tableau")

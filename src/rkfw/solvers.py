@@ -38,7 +38,6 @@ class SolverConfig:
     delta: float = 1.0
     max_iters: int = 100
     variant: str = "plain"
-    ls_tol: float = 1e-10
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -47,9 +46,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        # bisection stops once its bracket is <= ls_tol wide; a NaN fails too
-        if not self.ls_tol > 0.0:
-            raise ValueError("ls_tol must be positive")
         if self.variant == "momentum":
             if self.tableau.q != 1 or np.any(self.tableau.a != 0.0):
                 raise ValueError("momentum is defined for the one-stage scheme only")
@@ -149,101 +145,85 @@ def _row_gap(x, problem):
 
 
 _GRID = tuple(i / 32 for i in range(33))  # np.linspace(0, 1, 33), bit for bit
+_BISECT_WIDTH = 1e-10  # the line search's bisection stops at a bracket this wide
 
 
-def _scan_and_bisect(evaluated, tol, model=None):
-    """Largest gamma in [0, 1] whose sign test accepts it: 1 when it
-    qualifies, else a scan down the 33-point grid from 31/32 finds the last
-    accepted grid point, and bisection narrows the bracket above it to width
-    tol. The grid guards against stopping at an early pocket of phi.
-
-    The test at gamma is evaluated(gamma), or, given model = (a, b, err),
-    the sign of m = gamma (a gamma + b) wherever |m| > err, and at gamma = 0,
-    where m and phi are both exactly 0. Raises ValueError when not even
-    gamma = 0 qualifies, as a NaN f or model there makes it.
+def _far_root(no_rise):
+    """Largest gamma in [0, 1] that no_rise accepts: 1 when it does, else a
+    scan down the 33-point grid from 31/32 finds the last accepted grid
+    point, and bisection narrows the bracket above it to _BISECT_WIDTH. The
+    grid guards against stopping at an early pocket of phi. Raises
+    ValueError when not even gamma = 0 is accepted (a NaN f or model there).
     """
-    a, b, err = model if model is not None else (0.0, 0.0, math.inf)
-    m = a + b  # gamma = 1
-    if m <= 0.0 if abs(m) > err else evaluated(1.0):
+    if no_rise(1.0):
         return 1.0
     for idx in range(31, -1, -1):  # 32 is gamma = 1, refused above
-        gm = _GRID[idx]
-        m = gm * (a * gm + b)
-        if m <= 0.0 if abs(m) > err or (idx == 0 and model is not None) else evaluated(gm):
+        if no_rise(_GRID[idx]):
             break
     else:
         raise ValueError("no step along the search direction passes the sign test")
     lo, hi = _GRID[idx], _GRID[idx + 1]
-    while hi - lo > tol:
+    while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        m = mid * (a * mid + b)
-        if m <= 0.0 if abs(m) > err else evaluated(mid):
+        if no_rise(mid):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _search(objective, x, d, fx, tol):
-    """(gbar, values, model): gbar is the largest gamma in [0, 1] with
-    phi(gamma) = f(x + gamma d) - fx <= 0 that _scan_and_bisect finds (0 for
-    an ascent direction of a convex f), values maps every gamma the search
-    called value at to f there, and model is along's (a, b, err) when the
-    search trusted it, else None.
-
-    An objective with along(x, d) -> (a, b, err) is quadratic along d:
-    phi(gamma) = a gamma^2 + b gamma exactly, and err bounds the rounding
-    of phi as value computes it. A sign test then reads the model wherever
-    |model| > err, where the evaluated phi has the same sign, and calls
-    value only for the tests the model cannot settle, so the search makes
-    the same decisions with a few value calls instead of about 60.
-    The step found is checked with one value call (unless it is 0 or the
-    search already evaluated it); if f rises there, the search is redone
-    with every test evaluated, so a wrong model can change the step but
-    never lets f rise.
-    """
-    values = {}
-
-    def evaluated(gm):
-        f = values[gm] = objective.value(x + gm * d)
-        return f - fx <= 0.0
-
-    along = getattr(objective, "along", None)
-    if along is not None:
-        model = along(x, d)
-        gbar = _scan_and_bisect(evaluated, tol, model)
-        # a gbar the search evaluated passed its test there
-        if gbar == 0.0 or gbar in values or evaluated(gbar):
-            return gbar, values, model
-    return _scan_and_bisect(evaluated, tol), values, None
-
-
-def _searched_step(objective, x, d, fx, k, c, tol):
+def _searched_step(objective, x, d, fx, k, c):
     """(x_next, f_next): the point the line search moves to from x along d,
-    where f(x) = fx, and f(x_next) when the run already knows it, else None.
+    where f(x) = fx, and f(x_next) when the search already knows it, else None.
 
-    The step is the larger of gbar (see _search) and the open-loop fraction
-    c/(c+k), clipped to [0, 1]. If f rises there, the step falls back to
-    gbar, which the search checked. Where the search's model settles that
-    f rises at the step, no value call is made there.
+    One sign test, phi(gamma) = f(x + gamma d) - fx <= 0, decides every
+    choice, so a NaN f never passes. gbar is the largest gamma that _far_root
+    finds passing it (0 for an ascent direction of a convex f). The step is
+    the larger of gbar and the open-loop fraction c/(c+k), clipped to [0, 1];
+    if it fails the test, the step falls back to gbar.
+
+    no_rise(gamma) reads the test from along(x, d) -> (a, b, err) where the
+    objective has it: phi(gamma) = a gamma^2 + b gamma exactly, and err
+    bounds the rounding of phi as value computes it, so wherever
+    |model| > err, and at gamma = 0, where both are exactly 0, the model has
+    the sign of the evaluated phi. Elsewhere evaluated(gamma) decides from
+    f, calling value once per gamma: a few value calls per search instead of
+    about 60. gbar is checked by evaluated (unless it is 0); if f rises
+    there, the model is dropped and the search redone on values alone, so a
+    wrong model can change the step but never lets f rise. The model may
+    refuse the schedule step without a value call, but a step that is taken
+    is always evaluated.
     At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is
     reused only when the two are equal byte for byte.
     """
-    gbar, values, model = _search(objective, x, d, fx, tol)
+    along = getattr(objective, "along", None)
+    trusted = along is not None
+    a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
+    points = {}  # gamma -> (x + gamma d, f there)
+
+    def evaluated(gamma):
+        if gamma not in points:
+            y = x + gamma * d
+            points[gamma] = y, objective.value(y)
+        return points[gamma][1] - fx <= 0.0
+
+    def no_rise(gamma):
+        m = gamma * (a * gamma + b)
+        if abs(m) > err or gamma == 0.0 and trusted:
+            return m <= 0.0
+        return evaluated(gamma)
+
+    gbar = _far_root(no_rise)
+    if not (gbar == 0.0 or evaluated(gbar)):
+        err, trusted = math.inf, False  # the model was wrong: drop it
+        gbar = _far_root(no_rise)
     step = min(1.0, max(c / (c + k), gbar))
-    if step != gbar:
-        a, b, err = model if model is not None else (0.0, 0.0, math.inf)
-        m = step * (a * step + b)
-        if not (abs(m) > err and m > 0.0):  # the model cannot settle a rise
-            x_next = x + step * d
-            f_step = objective.value(x_next)
-            if not f_step > fx:
-                return x_next, f_step
+    if step != gbar and no_rise(step) and evaluated(step):
+        return points[step]
+    if gbar in points:
+        return points[gbar]
     x_next = x + gbar * d
-    f_next = values.get(gbar)
-    if f_next is None and x_next.tobytes() == x.tobytes():
-        f_next = fx
-    return x_next, f_next
+    return x_next, fx if x_next.tobytes() == x.tobytes() else None
 
 
 def momentum_step(x, z, v, k: int, c: float, problem):
@@ -305,7 +285,7 @@ def run(problem, cfg: SolverConfig) -> Trajectory:
             x_plain, gaps[k] = rk_fw_step(x, k, cfg, problem)
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
-            x_next, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c, cfg.ls_tol)
+            x_next, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c)
         else:  # momentum
             gaps[k] = _row_gap(x, problem)
             x_next, z, v = momentum_step(x, z, v, k, cfg.c, problem)

@@ -158,14 +158,15 @@ def load_tableau_file(path) -> ButcherTableau:
         raise ValueError(f"{path}: first line must be the stage count") from None
     if len(rows) != q + 3:
         raise ValueError(f"{path}: expected {q + 3} lines for q={q}, got {len(rows)}")
+    # lengths first: numpy would report a ragged A as a non-numeric entry
+    if q < 1 or any(len(row) != q for row in rows[1:]):
+        raise ValueError(f"{path}: row lengths inconsistent with q={q}")
     try:
         a = np.array([[float(v) for v in rows[1 + i]] for i in range(q)])
         weights = np.array([float(v) for v in rows[q + 1]])
         offsets = np.array([float(v) for v in rows[q + 2]])
     except ValueError as exc:
         raise ValueError(f"{path}: non-numeric entry ({exc})") from None
-    if a.shape != (q, q) or len(weights) != q or len(offsets) != q:
-        raise ValueError(f"{path}: row lengths inconsistent with q={q}")
     return ButcherTableau(name=str(path), a=a, weights=weights, offsets=offsets)
 
 

@@ -79,6 +79,15 @@ def test_nan_alpha_fails_before_any_run(tmp_path, monkeypatch, capsys, problem):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("problem", ["sensing", "sensing_logistic"])
+def test_infinite_alpha_fails_before_any_run(tmp_path, monkeypatch, capsys, problem):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", problem, "--m", "20", "--n", "5",
+                 "--alpha", "inf"]) == 1
+    assert capsys.readouterr().err == "error: alpha must be finite\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", [
     "2\n0 0\nnan 0\n0 1\n0 0.5\n",      # nan in A
     "2\n0 0\n0.5 0\ninf -inf\n0 0.5\n",  # weights that "sum" to nan
@@ -123,17 +132,37 @@ def test_bad_schedule_is_named_before_the_reference(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifest_with_retired_ls_tol_reruns(tmp_path, monkeypatch):
+    # manifests written while the bisection width was a key carry ls_tol = 1e-10
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "sensing", "--m", "20", "--n", "5", "--alpha", "4",
+                 "--iters", "25", "--tableau", "rk44", "--variant", "line_search"]) == 0
+    run_dir = tmp_path / "runs" / "rk44_line_search"
+    manifest = (run_dir / "manifest.txt").read_text()
+    assert "ls_tol" not in manifest
+    (tmp_path / "old.txt").write_text(
+        manifest.replace("out_dir =", "ls_tol = 1e-10\nout_dir ="))
+
+    def without_wall_ns():
+        rows = (run_dir / "traj.csv").read_text().splitlines()
+        return [row.rsplit(",", 1)[0] for row in rows]
+
+    first = without_wall_ns()
+    assert main(["sweep", "--config", "old.txt"]) == 0
+    assert without_wall_ns() == first
+    assert (run_dir / "manifest.txt").read_text() == manifest
+
+
 @pytest.mark.parametrize("ls_tol", ["0", "-1", "nan"])
-def test_bad_ls_tol_fails_before_any_run(tmp_path, monkeypatch, capsys, ls_tol):
-    # bisection would never narrow its bracket to ls_tol: the run would hang
+def test_retired_ls_tol_accepts_only_its_old_value(tmp_path, monkeypatch, capsys, ls_tol):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ls.cfg").write_text("problem = sensing\ntableau = euler, rk44\n"
                                      f"variant = line_search\nls_tol = {ls_tol}\n")
     assert main(["sweep", "--config", "ls.cfg"]) == 1
-    assert capsys.readouterr().err == "error: ls_tol must be positive\n"
-    assert main(["solve", "--problem", "triangle", "--variant", "line_search",
-                 "--ls-tol", ls_tol]) == 1
-    assert capsys.readouterr().err == "error: ls_tol must be positive\n"
+    assert capsys.readouterr().err == (
+        "error: ls_tol is no longer a setting; only ls_tol = 1e-10 is accepted\n")
+    with pytest.raises(SystemExit):  # the flag went with the key
+        main(["solve", "--problem", "triangle", "--ls-tol", "1e-10"])
     assert [p.name for p in tmp_path.iterdir()] == ["ls.cfg"]
 
 

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +20,10 @@ def test_every_exported_name_resolves(module):
 
 def test_submodules_are_found():
     assert {"solvers", "harness", "tableau", "geometry"} <= set(SUBMODULES)
+
+
+def test_pyproject_version_is_the_package_version():
+    # manifests name rkfw.__version__; the two are stated separately
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == rkfw.__version__

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import os
 
 import numpy as np
@@ -12,8 +13,8 @@ from rkfw.harness import ExperimentConfig, build_problem
 from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
                            make_triangle)
-from rkfw.solvers import (SolverConfig, _search, _searched_step, fw_gap,
-                          momentum_step, rk_fw_step, run)
+from rkfw.solvers import (SolverConfig, _searched_step, fw_gap, momentum_step,
+                          rk_fw_step, run)
 from rkfw.tableau import TABLEAU_NAMES, make_tableau, stage_gammas
 
 
@@ -202,28 +203,32 @@ def test_fw_gap_dominates_suboptimality(a, b):
     assert fw_gap(x, p) >= h - 1e-12
 
 
-def search_gbar(objective, x, d):
-    x = np.array([x])
-    return _search(objective, x, np.array([d]), objective.value(x), 1e-10)[0]
-
-
 def test_line_search_far_root():
     # phi(gamma) = ((0.5 - 1.5 g)^2 - 0.25)/2 has roots 0 and 2/3; the
-    # searched step is the far root, not the minimizer 1/3
+    # searched step is the far root, x = -0.5, not the minimizer x = 0. At
+    # k = 100 the schedule fraction 2/102 lies below it
     for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
-        assert search_gbar(obj, 0.5, -1.5) == pytest.approx(2.0 / 3.0, abs=1e-9)
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-1.5]),
+                                        0.125, k=100, c=2.0)
+        assert x_next == pytest.approx([-0.5], abs=1.5e-9)
+        assert f_next == obj.value(x_next) <= 0.125
 
 
 def test_line_search_full_step_shortcut():
-    for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
-        assert search_gbar(obj, 0.5, -0.5) == 1.0
+    # phi(1) < 0: gamma = 1 is taken with one value call, at the step itself
+    for model in (True, False):
+        obj, points = value_logged(DistanceSq(np.array([0.0])), model)
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-0.5]),
+                                        0.125, k=100, c=2.0)
+        assert x_next.tobytes() == as_bytes(0.0) and f_next == 0.0
+        assert points == [as_bytes(0.0)]
 
 
 def test_line_search_floor_is_schedule():
     # along d = 1 from 0, gbar ~ 0.6; the floor c/(c+k) = 6/7 lies in the
     # pocket, where f = -1, so the schedule step is taken
     x, d = np.array([0.0]), np.array([1.0])
-    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=1, c=6.0, tol=1e-10)
+    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=1, c=6.0)
     assert x_next.tobytes() == (x + (6.0 / 7.0) * d).tobytes()
     assert f_next == -1.0
 
@@ -231,18 +236,32 @@ def test_line_search_floor_is_schedule():
 def test_line_search_falls_back_where_the_floor_raises_f():
     # the floor 6/8 lies past the pocket, where f rises: the step is gbar
     x, d = np.array([0.0]), np.array([1.0])
-    gbar, values, _ = _search(Pocketed(), x, d, 0.0, 1e-10)
-    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=2, c=6.0, tol=1e-10)
-    assert gbar == pytest.approx(0.6, abs=1e-9)
-    assert x_next.tobytes() == (x + gbar * d).tobytes()
-    assert f_next == values[gbar] <= 0.0
+    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=2, c=6.0)
+    assert x_next == pytest.approx([0.6], abs=1e-9)
+    assert f_next == Pocketed().value(x_next) <= 0.0
     # an ascent direction has gbar = 0; even the floor 1 at k = 0 raises f,
     # and the step stays at x, whose f is known
     obj = DistanceSq(np.array([0.0]))
     for k in (0, 2):
         x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([1.0]),
-                                        0.125, k=k, c=2.0, tol=1e-10)
+                                        0.125, k=k, c=2.0)
         assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
+
+
+class NanBeyondHalf:
+    """f(x) = -|x| up to |x| = 0.5, NaN beyond. No along()."""
+
+    def value(self, x):
+        u = abs(float(x[0]))
+        return -u if u <= 0.5 else math.nan
+
+
+def test_line_search_never_takes_a_nan_step():
+    # the search stops at gbar = 0.5; the schedule step 6/7 has a NaN f,
+    # which fails the same sign test as the scan's, so the step is gbar
+    x_next, f_next = _searched_step(NanBeyondHalf(), np.array([0.0]), np.array([1.0]),
+                                    0.0, k=1, c=6.0)
+    assert x_next.tobytes() == as_bytes(0.5) and f_next == -0.5
 
 
 def test_run_row_count_and_columns():
@@ -405,8 +424,8 @@ class ValueOnly:
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["least_squares", "distance_sq"]),
        st.sampled_from([1.0, 1e3, 1e6]), st.sampled_from([0.0, 1e-8, 1.0]),
-       st.sampled_from(["descent", "ascent", "short", "random"]))
-def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, direction):
+       st.sampled_from(["descent", "ascent", "short", "random"]), st.integers(0, 100))
+def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, direction, k):
     # x_scale puts x far from the origin; misfit 0 or 1e-8 gives near-fit
     # instances, whose f is far below the rounding of the terms value sums
     rng = np.random.default_rng(seed)
@@ -430,13 +449,38 @@ def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, dire
             a, b, _ = obj.along(x, grad)
             d = -grad * (abs(b) / (2.0 * a) if a > 0 else 1.0) * 0.5
     fx = obj.value(x)
-    got = _search(obj, x, d, fx, 1e-10)[0]
-    evaluated, calls = ValueOnly(obj), []
-    evaluated.value = lambda y: calls.append(y) or obj.value(y)
-    want, values, _ = _search(evaluated, x, d, fx, 1e-10)
-    assert got == want
-    assert len(calls) == len(values)  # no gamma is evaluated twice
-    assert obj.value(x + got * d) <= fx
+    steps = []
+    for model in (True, False):
+        objective, points = value_logged(obj, model)
+        logged_d = d.view(GammaLogged)
+        logged_d.gammas = []
+        x_next, f_next = _searched_step(objective, x, logged_d, fx, k, 2.0)
+        # no gamma's point is formed twice, so none is evaluated twice (at
+        # x_scale 1e6 distinct gammas can give the same point bytes)
+        assert len(logged_d.gammas) == len(set(logged_d.gammas)) >= len(points)
+        # what run records for the next row
+        f_row = obj.value(x_next) if f_next is None else f_next
+        assert f_row == obj.value(x_next) <= fx
+        steps.append(as_bytes(*x_next, f_row))
+    assert steps[0] == steps[1]
+
+
+class GammaLogged(np.ndarray):
+    """A search direction d that logs every gamma the search scales it by."""
+
+    def __rmul__(self, gamma):
+        self.gammas.append(gamma)
+        return gamma * self.view(np.ndarray)
+
+
+def value_logged(obj, model):
+    """obj's value and gradient, and its along() when `model`, with the bytes
+    of every point value is called at logged; returns (objective, log)."""
+    logged, points = ValueOnly(obj), []
+    logged.value = lambda y: points.append(np.asarray(y).tobytes()) or obj.value(y)
+    if model:
+        logged.along = obj.along
+    return logged, points
 
 
 class WrongModel(LeastSquares):
@@ -536,11 +580,6 @@ def test_config_validation():
         cfg_for("euler", variant="fancy")
     with pytest.raises(ValueError, match="max_iters"):
         cfg_for("euler", max_iters=-1)
-    # bisection stops once its bracket is at most ls_tol wide, which adjacent
-    # floats never are for ls_tol <= 0: the run would never end
-    for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="^ls_tol must be positive$"):
-            cfg_for("euler", variant="line_search", ls_tol=tol)
     # an infinite c or delta makes every step fraction NaN
     with pytest.raises(ValueError, match="^schedule constant c must be finite$"):
         cfg_for("euler", c=float("inf"))

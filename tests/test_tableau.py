@@ -220,6 +220,12 @@ def test_load_tableau_file_errors(tmp_path):
     p.write_text("2\n0 0\n0.5 zz\n0 1\n0 0.5\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_tableau_file(p)
+    # a ragged A row is a length error, not numpy's "setting an array
+    # element with a sequence"
+    for ragged in ("2\n0 0\n0.5 0 0\n0 1\n0 0.5\n", "2\n0 0\n0.5 0\n1\n0 0.5\n"):
+        p.write_text(ragged)
+        with pytest.raises(ValueError, match="bad.txt: row lengths inconsistent with q=2$"):
+            load_tableau_file(p)
     # structurally invalid tableau is rejected at load time
     p.write_text("2\n0 1\n0.5 0\n0 1\n0 0.5\n")
     with pytest.raises(ValueError, match="invalid tableau"):
