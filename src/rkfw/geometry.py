@@ -48,7 +48,7 @@ def _excess(v) -> float:
     return 0.0 if v <= 0.0 else float(v)
 
 
-class PowerIterationError(RuntimeError):
+class PowerIterationError(ArithmeticError):
     def __init__(self, residual, iterations):
         super().__init__(
             f"power iteration did not converge in {iterations} iterations "
@@ -57,11 +57,10 @@ class PowerIterationError(RuntimeError):
 
 
 class Box:
-    """Hypercube [-alpha, alpha]^n."""
+    """Hypercube [-alpha, alpha]^n; n is the gradient's length."""
 
-    def __init__(self, alpha: float, n: int):
+    def __init__(self, alpha: float):
         self.alpha = _radius(alpha)
-        self.n = int(n)
 
     def lmo(self, g) -> DenseAtom:
         g = np.asarray(g, dtype=float)
@@ -74,14 +73,13 @@ class Box:
 class L1Ball:
     """{x : ||x||_1 <= alpha}. Atoms are signed scaled basis vectors."""
 
-    def __init__(self, alpha: float, n: int):
+    def __init__(self, alpha: float):
         self.alpha = _radius(alpha)
-        self.n = int(n)
 
     def lmo(self, g) -> DenseAtom:
         g = np.asarray(g, dtype=float)
         j = int(np.abs(g).argmax())  # ties break at the lowest index
-        s = np.zeros(self.n)
+        s = np.zeros(len(g))
         # sign(0) := +1 as in _sign; a NaN entry takes -1
         s[j] = -self.alpha if g[j] >= 0.0 else self.alpha
         return DenseAtom(s)
@@ -101,27 +99,24 @@ def _barycentric_violation(m, coeffs, rhs):
 class VertexHull:
     """Convex hull of an explicit vertex list.
 
-    Membership is a barycentric solve [vertices^T; 1^T] c = [x; 1], so only
-    simplices (n+1 affinely independent vertices) support it, which covers
-    every hull used here. The system and its inverse are built once, as
-    barycentric_matrix and barycentric_inverse; both are None for other
-    hulls, whose membership check raises when it is asked for.
+    Membership is a barycentric solve [vertices^T; 1^T] c = [x; 1], so the
+    hull must be a simplex: n+1 affinely independent vertices in n
+    dimensions, checked when built. The system and its inverse are built
+    once, as barycentric_matrix and barycentric_inverse.
     """
 
     def __init__(self, vertices):
         vs = np.asarray(vertices, dtype=float)
-        if vs.ndim != 2 or len(vs) < 1 or not np.all(np.isfinite(vs)):
-            raise ValueError("need a nonempty 2-d array of finite vertices")
-        self.vertices = vs
-        self.n = vs.shape[1]
-        self.barycentric_matrix = self.barycentric_inverse = None
-        if len(vs) != self.n + 1:
-            self._membership_error = "membership check unsupported for non-simplex hulls"
-            return
+        if vs.ndim != 2 or not np.all(np.isfinite(vs)):
+            raise ValueError("need a 2-d array of finite vertices")
+        n = vs.shape[1]
+        if len(vs) != n + 1:
+            raise ValueError(f"non-simplex hull: {len(vs)} vertices in {n} "
+                             f"dimensions, need {n + 1}")
         m = np.vstack([vs.T, np.ones(len(vs))])
-        if np.linalg.lstsq(m, np.ones(len(vs)), rcond=None)[2] < len(vs):
-            self._membership_error = "membership check unsupported for degenerate hulls"
-            return
+        if np.linalg.matrix_rank(m) < len(vs):
+            raise ValueError("degenerate hull: the vertices are affinely dependent")
+        self.vertices = vs
         self.barycentric_matrix = m
         self.barycentric_inverse = np.linalg.solve(m, np.eye(len(vs)))
 
@@ -130,8 +125,6 @@ class VertexHull:
         return DenseAtom(self.vertices[scores.argmin()].copy())
 
     def membership_violation(self, x) -> float:
-        if self.barycentric_inverse is None:
-            raise ValueError(self._membership_error)
         m = self.barycentric_matrix
         rhs = np.concatenate((np.asarray(x, dtype=float).reshape(-1), (1.0,)))
         # The inverse's coefficients differ from the least-squares ones by
@@ -155,7 +148,7 @@ class NuclearBall:
         self.alpha = _radius(alpha)
         self.shape = (int(shape[0]), int(shape[1]))
 
-    def lmo(self, g, max_iter: int = 5000) -> DenseAtom:
+    def lmo(self, g) -> DenseAtom:
         g = np.asarray(g, dtype=float)
         if g.shape != self.shape:
             raise ValueError(f"gradient shape {g.shape} != region shape {self.shape}")
@@ -164,7 +157,7 @@ class NuclearBall:
             u = np.zeros(self.shape[0]); u[0] = 1.0
             v = np.zeros(self.shape[1]); v[0] = 1.0
         else:
-            u, v = _top_singular_pair(g, max_iter)
+            u, v = _top_singular_pair(g)
         return DenseAtom(-self.alpha * np.outer(u, v))
 
     def membership_violation(self, x) -> float:
@@ -172,7 +165,11 @@ class NuclearBall:
         return _excess(sv.sum() - self.alpha)
 
 
-def _top_singular_pair(g, max_iter=5000, tol=1e-10):
+_POWER_ITERS = 5000  # power iteration's step budget
+_POWER_TOL = 1e-10  # it stops once the quotient's relative change is below this
+
+
+def _top_singular_pair(g):
     """Leading singular vectors of g by power iteration on g^T g.
 
     Start vector is the normalized row-sum of g^T g, with a fixed-seed
@@ -188,7 +185,7 @@ def _top_singular_pair(g, max_iter=5000, tol=1e-10):
     w = gtg @ v  # the product for the quotient is also the next step's
     rho = float(v @ w)
     rel = np.inf
-    for it in range(1, max_iter + 1):
+    for _ in range(_POWER_ITERS):
         nw = np.linalg.norm(w)
         if nw < 1e-300:
             v = np.random.default_rng(0).standard_normal(g.shape[1])
@@ -200,7 +197,7 @@ def _top_singular_pair(g, max_iter=5000, tol=1e-10):
         rho_next = float(v @ w)
         rel = abs(rho_next - rho) / max(abs(rho_next), 1e-300)
         rho = rho_next
-        if rel < tol:
+        if rel < _POWER_TOL:
             u = g @ v
             return u / np.linalg.norm(u), v
-    raise PowerIterationError(rel, max_iter)
+    raise PowerIterationError(rel, _POWER_ITERS)

@@ -251,6 +251,10 @@ def build_problem(cfg: ExperimentConfig):
         if cfg.data is None:
             raise ValueError("problem 'logistic' needs data = <svmlight path>")
         features, labels = load_svmlight(cfg.data)
+        if not len(labels):
+            raise ValueError(f"{cfg.data}: no rows")
+        if not features.shape[1]:
+            raise ValueError(f"{cfg.data}: no feature columns")
         return make_logistic(features, labels, cfg.alpha)
     if name == "completion":
         if cfg.data is None:

@@ -25,20 +25,21 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _rounding_bound(resid, slope, terms, count):
-    """Bound on the rounding of value(x + t d) - value(x), t in [0, 1], for
-    f = 0.5 ||r||^2 with r(t) = r0 + t dr, resid = ||r0||, slope = ||dr||.
-    `count` is at least the number of terms summed into an entry of r plus
-    the number of entries summed into ||r||^2, and `terms` bounds the norm
-    of the vector of summed term magnitudes of r.
+def _line_model(r, dr, terms, count):
+    """(a, b, err) for f = 0.5 ||r||^2 along r(t) = r + t dr: f(t) - f(0) =
+    a t^2 + b t exactly, and err bounds the rounding of value(x + t d) -
+    value(x), t in [0, 1]. `count` is at least the number of terms summed
+    into an entry of r plus the number of entries summed into ||r||^2, and
+    `terms` bounds the norm of the vector of summed term magnitudes of r.
 
     Rounding moves r by at most count * eps * terms in norm (Higham's bound
     for sums), and 0.5 ||r||^2 by at most that times ||r|| plus its square.
     Measured errors stay below a quarter of the bound on random instances
     and below 4e-4 of it on the sensing benchmark.
     """
-    dr = count * sys.float_info.epsilon * terms
-    return float((resid + slope + dr) * dr)
+    drift = count * sys.float_info.epsilon * terms
+    err = float((_norm(r) + _norm(dr) + drift) * drift)
+    return 0.5 * float(dr @ dr), float(r @ dr), err
 
 
 class DistanceSq:
@@ -60,11 +61,8 @@ class DistanceSq:
         err bounds the rounding of value(x + t d) - value(x), t in [0, 1]."""
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        r = x - self.target
-        d_norm = _norm(d)
-        err = _rounding_bound(_norm(r), d_norm, _norm(x) + d_norm + self._target_norm,
-                              d.size + 3)
-        return 0.5 * float(d @ d), float(r @ d), err
+        return _line_model(x - self.target, d,
+                           _norm(x) + _norm(d) + self._target_norm, d.size + 3)
 
 
 class LeastSquares:
@@ -98,13 +96,10 @@ class LeastSquares:
         err bounds the rounding of value(x + t d) - value(x), t in [0, 1]."""
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        gd = self.g @ d
-        r = self.g @ x - self.h
         # ||G||_F ||x + t d|| + ||h|| bounds the terms summed into G(x + t d) - h
         terms = self._g_norm * (_norm(x) + _norm(d)) + self._h_norm
-        err = _rounding_bound(_norm(r), _norm(gd), terms,
-                              self.g.shape[0] + self.g.shape[1] + 3)
-        return 0.5 * float(gd @ gd), float(r @ gd), err
+        return _line_model(self.g @ x - self.h, self.g @ d, terms,
+                           self.g.shape[0] + self.g.shape[1] + 3)
 
 
 class Logistic:
@@ -190,8 +185,10 @@ class HuberMatrix:
         self.ratings = np.asarray(ratings, dtype=float)
         if len(self.ratings) != len(obs):
             raise ValueError("ratings count must match observed count")
-        if rho <= 0:
+        if not rho > 0:  # a NaN fails too
             raise ValueError("rho must be positive")
+        if rho == math.inf:
+            raise ValueError("rho must be finite")
         self.rho = float(rho)
         self.shape = (int(shape[0]), int(shape[1]))
         if len(obs) and (self.rows.max() >= self.shape[0] or self.cols.max() >= self.shape[1]

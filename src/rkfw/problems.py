@@ -73,7 +73,7 @@ def make_scalar_huber(epsilon: float) -> ProblemInstance:
         raise ValueError("epsilon must lie in (0, 1)")
     return ProblemInstance(
         objective=HuberScalar(epsilon),
-        region=Box(1.0, 1),
+        region=Box(1.0),
         x0=np.array([1.0]),
         f_star=0.0,
         label="scalar_huber",
@@ -92,7 +92,7 @@ def _sensing_data(m, n, sparsity, noise_sd, seed):
     support = rng.choice(n, int(np.ceil(sparsity * n)), replace=False)
     x_true[support] = rng.standard_normal(len(support))
     noise = rng.normal(0.0, noise_sd, size=m)
-    return g, x_true, g @ x_true + noise
+    return g, g @ x_true + noise
 
 
 def make_sensing(m=500, n=100, sparsity=0.10, noise_sd=0.05, alpha=1000.0,
@@ -103,10 +103,10 @@ def make_sensing(m=500, n=100, sparsity=0.10, noise_sd=0.05, alpha=1000.0,
     ceil(sparsity * n) standard normal nonzeros at seeded positions, and
     the target picks up Normal(0, noise_sd) noise per row.
     """
-    g, _, h = _sensing_data(m, n, sparsity, noise_sd, seed)
+    g, h = _sensing_data(m, n, sparsity, noise_sd, seed)
     return ProblemInstance(
         objective=LeastSquares(g, h),
-        region=L1Ball(alpha, n),
+        region=L1Ball(alpha),
         x0=np.zeros(n),
         f_star=None,
         label=f"sensing(m={m},n={n},seed={seed})",
@@ -120,16 +120,8 @@ def make_sensing_logistic(m=500, n=100, sparsity=0.10, noise_sd=0.05,
     Shares the seeded draw with make_sensing so the two problems see the
     same design matrix.
     """
-    g, _, h = _sensing_data(m, n, sparsity, noise_sd, seed)
-    labels = np.where(h >= 0, 1.0, -1.0)
-    obj = Logistic(g, labels)
-    return ProblemInstance(
-        objective=obj,
-        region=L1Ball(alpha, n),
-        x0=np.zeros(n),
-        f_star=None,
-        label=f"sensing_logistic(m={m},n={n},seed={seed})",
-    )
+    g, h = _sensing_data(m, n, sparsity, noise_sd, seed)
+    return make_logistic(g, np.where(h >= 0, 1.0, -1.0), alpha)
 
 
 def make_logistic(features, labels, alpha) -> ProblemInstance:
@@ -137,7 +129,7 @@ def make_logistic(features, labels, alpha) -> ProblemInstance:
     obj = Logistic(features, labels)
     return ProblemInstance(
         objective=obj,
-        region=L1Ball(alpha, obj.features.shape[1]),
+        region=L1Ball(alpha),
         x0=np.zeros(obj.features.shape[1]),
         f_star=None,
         label=f"logistic(m={obj.m},n={obj.features.shape[1]})",

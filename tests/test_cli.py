@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,45 @@ def test_infinite_alpha_fails_before_any_run(tmp_path, monkeypatch, capsys, prob
                  "--alpha", "inf"]) == 1
     assert capsys.readouterr().err == "error: alpha must be finite\n"
     assert list(tmp_path.iterdir()) == []
+
+
+RATINGS = str(Path(__file__).parent / "fixtures" / "ratings20.tsv")
+
+
+@pytest.mark.parametrize("rho, message", [("nan", "rho must be positive"),
+                                          ("inf", "rho must be finite")])
+def test_non_finite_rho_fails_before_any_run(tmp_path, monkeypatch, capsys, rho, message):
+    # a NaN rho used to run power iteration on NaN, an infinite one overflowed
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "completion", "--data", RATINGS,
+                 "--rho", rho, "--iters", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, message", [("", "no rows"),
+                                           ("1\n-1\n", "no feature columns")],
+                         ids=["empty", "no-columns"])
+def test_logistic_without_data_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                                    text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.svm").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the loader warns on an empty file
+        assert main(["solve", "--problem", "logistic", "--data", "d.svm",
+                     "--iters", "3"]) == 1
+    assert capsys.readouterr().err == f"error: d.svm: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.svm"]
+
+
+def test_power_iteration_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # the run finishes; the rk44 reference's oracle misses its tolerance
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", "completion", "--data", RATINGS,
+                 "--tableau", "rk44", "--iters", "20", "--ref-delta", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: power iteration did not converge in 5000 iterations")
+    assert err.count("\n") == 1 and err.endswith(")\n")
 
 
 @pytest.mark.parametrize("text", [

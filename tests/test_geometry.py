@@ -4,6 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rkfw import geometry
 from rkfw.geometry import (Box, DenseAtom, L1Ball, NuclearBall,
                            PowerIterationError, VertexHull, _top_singular_pair)
 
@@ -28,7 +29,7 @@ def l1_lmo_oracle(g, alpha):
 
 
 def test_box_lmo_sign_rule():
-    box = Box(2.0, 3)
+    box = Box(2.0)
     atom = box.lmo([1.0, -3.0, 0.0]).dense()
     # sign(0) treated as +, so the last coordinate goes to -alpha
     assert np.array_equal(atom, [-2.0, 2.0, -2.0])
@@ -36,34 +37,34 @@ def test_box_lmo_sign_rule():
 
 @given(vectors)
 def test_box_lmo_minimizes_over_corners(g):
-    box = Box(1.5, len(g))
+    box = Box(1.5)
     score = float(box.lmo(g).dense() @ g)
     # any corner of the box scores at least as high
     assert score <= -1.5 * np.sum(np.abs(g)) + 1e-9
 
 
 def test_l1_lmo_frozen():
-    ball = L1Ball(2.0, 4)
+    ball = L1Ball(2.0)
     atom = ball.lmo([0.5, -3.0, 1.0, 0.0])
     assert isinstance(atom, DenseAtom)
     assert np.array_equal(atom.dense(), [0.0, 2.0, 0.0, 0.0])
 
 
 def test_l1_lmo_tie_breaks_low_index():
-    atom = L1Ball(1.0, 3).lmo([1.0, 1.0, -1.0])
+    atom = L1Ball(1.0).lmo([1.0, 1.0, -1.0])
     assert np.array_equal(atom.dense(), [-1.0, 0.0, 0.0])
 
 
 @given(vectors)
 def test_l1_lmo_matches_enumeration(g):
-    ball = L1Ball(2.0, len(g))
+    ball = L1Ball(2.0)
     _, best_score = l1_lmo_oracle(g, 2.0)
     assert float(ball.lmo(g).dense() @ g) == pytest.approx(best_score, abs=1e-12)
 
 
 @given(vectors)
 def test_l1_atoms_are_one_hot(g):
-    atom = L1Ball(3.0, len(g)).lmo(g)
+    atom = L1Ball(3.0).lmo(g)
     d = atom.dense()
     assert np.count_nonzero(d) <= 1
     assert np.sum(np.abs(d)) == pytest.approx(3.0)
@@ -90,20 +91,14 @@ def test_hull_membership():
     assert hull.membership_violation([0.0, -0.1]) > 0.0
 
 
-def test_hull_rejects_non_simplex_membership():
-    square = VertexHull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    with pytest.raises(ValueError, match="non-simplex"):
-        square.membership_violation([0.5, 0.5])
-    # the oracle does not need a simplex
-    assert np.array_equal(square.lmo([1.0, 1.0]).dense(), [0.0, 0.0])
-    assert np.array_equal(square.lmo([-1.0, -2.0]).dense(), [1.0, 1.0])
+def test_hull_rejects_non_simplex_at_construction():
+    with pytest.raises(ValueError, match="non-simplex hull: 4 vertices in 2 dimensions, need 3"):
+        VertexHull([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def test_hull_rejects_degenerate_membership():
-    collinear = VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-    with pytest.raises(ValueError, match="degenerate"):
-        collinear.membership_violation([1.0, 1.0])
-    assert np.array_equal(collinear.lmo([1.0, 0.0]).dense(), [0.0, 0.0])
+def test_hull_rejects_degenerate_at_construction():
+    with pytest.raises(ValueError, match="degenerate hull"):
+        VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
 
 
 def lstsq_membership(vertices, x):
@@ -144,15 +139,15 @@ def test_hull_membership_matches_lstsq(seed, n):
 
 
 def test_box_and_l1_membership():
-    assert Box(1.0, 2).membership_violation([1.0, -1.0]) == 0.0
-    assert Box(1.0, 2).membership_violation([1.5, 0.0]) == pytest.approx(0.5)
-    assert L1Ball(1.0, 2).membership_violation([0.6, -0.4]) == 0.0
-    assert L1Ball(1.0, 2).membership_violation([0.8, -0.4]) == pytest.approx(0.2)
+    assert Box(1.0).membership_violation([1.0, -1.0]) == 0.0
+    assert Box(1.0).membership_violation([1.5, 0.0]) == pytest.approx(0.5)
+    assert L1Ball(1.0).membership_violation([0.6, -0.4]) == 0.0
+    assert L1Ball(1.0).membership_violation([0.8, -0.4]) == pytest.approx(0.2)
 
 
 @pytest.mark.parametrize("region, x", [
-    (Box(1.0, 2), [np.nan, 0.0]),
-    (L1Ball(1.0, 2), [0.0, np.nan]),
+    (Box(1.0), [np.nan, 0.0]),
+    (L1Ball(1.0), [0.0, np.nan]),
     (VertexHull(TRIANGLE), [np.nan, 0.0]),
     (VertexHull(TRIANGLE), [0.0, np.nan]),
 ], ids=["box", "l1", "hull-x", "hull-y"])
@@ -166,7 +161,7 @@ def test_nuclear_nan_point_is_not_feasible():
         NuclearBall(1.0, (2, 2)).membership_violation(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("make", [lambda a: Box(a, 2), lambda a: L1Ball(a, 2),
+@pytest.mark.parametrize("make", [Box, L1Ball,
                                   lambda a: NuclearBall(a, (2, 2))],
                          ids=["box", "l1", "nuclear"])
 @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan])
@@ -175,7 +170,7 @@ def test_regions_reject_bad_alpha(make, alpha):
         make(alpha)
 
 
-@pytest.mark.parametrize("make", [lambda a: Box(a, 2), lambda a: L1Ball(a, 2),
+@pytest.mark.parametrize("make", [Box, L1Ball,
                                   lambda a: NuclearBall(a, (2, 2))],
                          ids=["box", "l1", "nuclear"])
 def test_regions_reject_infinite_alpha(make):
@@ -187,8 +182,8 @@ def test_regions_reject_infinite_alpha(make):
 @given(vectors, st.floats(0.5, 20.0))
 def test_finite_membership_keeps_its_digits(x, alpha):
     # the NaN rule changes no finite answer, not even the sign of a zero
-    for region, excess in ((Box(alpha, len(x)), np.max(np.abs(x)) - alpha),
-                           (L1Ball(alpha, len(x)), np.abs(x).sum() - alpha)):
+    for region, excess in ((Box(alpha), np.max(np.abs(x)) - alpha),
+                           (L1Ball(alpha), np.abs(x).sum() - alpha)):
         got = region.membership_violation(x)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(max(0.0, excess)).tobytes()
@@ -240,10 +235,11 @@ def test_nuclear_membership():
     assert ball.membership_violation(np.diag([2.0, 1.0])) == pytest.approx(1.0)
 
 
-def test_power_iteration_failure_carries_residual():
+def test_power_iteration_failure_carries_residual(monkeypatch):
+    monkeypatch.setattr(geometry, "_POWER_ITERS", 1)
     g = np.diag([2.0, 1.0])
-    with pytest.raises(PowerIterationError) as exc:
-        NuclearBall(1.0, (2, 2)).lmo(g, max_iter=1)
+    with pytest.raises(PowerIterationError, match="in 1 iterations") as exc:
+        NuclearBall(1.0, (2, 2)).lmo(g)
     assert exc.value.residual > 1e-10
 
 
@@ -295,18 +291,19 @@ def test_power_iteration_reuses_its_gram_product_bitwise(g):
     assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
 
 
-def test_power_iteration_restart_in_loop_fails_like_two_products():
+def test_power_iteration_restart_in_loop_fails_like_two_products(monkeypatch):
     # g^T g underflows to subnormals, so every step restarts from the seeded
     # random vector and neither loop ever forms a quotient
+    monkeypatch.setattr(geometry, "_POWER_ITERS", 40)
     g = 1e-160 * np.array([[1.0, -1.0], [2.0, -3.0]])
     with pytest.raises(PowerIterationError) as new:
-        _top_singular_pair(g, max_iter=40)
+        _top_singular_pair(g)
     with pytest.raises(PowerIterationError) as old:
         two_product_power_iteration(g, max_iter=40)
     assert str(new.value) == str(old.value)
 
 
 def test_atom_dense_shapes():
-    assert L1Ball(2.0, 4).lmo([0, 1, 0, 0]).dense().shape == (4,)
-    assert Box(1.0, 3).lmo([1, 1, 1]).dense().shape == (3,)
+    assert L1Ball(2.0).lmo([0, 1, 0, 0]).dense().shape == (4,)
+    assert Box(1.0).lmo([1, 1, 1]).dense().shape == (3,)
     assert NuclearBall(1.0, (2, 5)).lmo(np.ones((2, 5))).dense().shape == (2, 5)

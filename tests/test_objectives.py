@@ -147,8 +147,11 @@ def test_huber_matrix_tail_continuity():
 def test_huber_matrix_index_checks():
     with pytest.raises(ValueError, match="outside shape"):
         HuberMatrix([(0, 5)], [1.0], 1.0, (2, 3))
-    with pytest.raises(ValueError, match="rho"):
-        HuberMatrix([(0, 0)], [1.0], 0.0, (1, 1))
+    for rho in (0.0, np.nan):
+        with pytest.raises(ValueError, match="^rho must be positive$"):
+            HuberMatrix([(0, 0)], [1.0], rho, (1, 1))
+    with pytest.raises(ValueError, match="^rho must be finite$"):
+        HuberMatrix([(0, 0)], [1.0], np.inf, (1, 1))
 
 
 @pytest.mark.parametrize("objective,dim,shape", [

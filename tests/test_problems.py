@@ -89,7 +89,7 @@ def test_problem_instance_rejects_infeasible_start():
     with pytest.raises(ValueError, match="not feasible"):
         ProblemInstance(
             objective=make_scalar_huber(0.5).objective,
-            region=Box(1.0, 1),
+            region=Box(1.0),
             x0=np.array([2.0]),
             f_star=0.0,
             label="bad",
@@ -101,7 +101,7 @@ def test_problem_instance_rejects_non_finite_start(x0):
     with pytest.raises(ValueError, match="^bad: x0 must be finite$"):
         ProblemInstance(
             objective=make_scalar_huber(0.5).objective,
-            region=Box(1.0, 1),
+            region=Box(1.0),
             x0=np.array(x0),
             f_star=None,
             label="bad",
@@ -115,7 +115,7 @@ def test_triangle_rejects_nan_target():
 
 def test_problem_instance_is_frozen_with_a_read_only_start():
     x0 = np.array([0.5])
-    p = ProblemInstance(make_scalar_huber(0.5).objective, Box(1.0, 1), x0, 0.0, "p")
+    p = ProblemInstance(make_scalar_huber(0.5).objective, Box(1.0), x0, 0.0, "p")
     x0[0] = 2.0  # the caller's array stays its own
     assert p.x0[0] == 0.5
     with pytest.raises(ValueError, match="read-only"):
@@ -128,7 +128,7 @@ def test_problem_instance_rejects_start_below_optimum():
     with pytest.raises(ValueError, match="below declared optimum"):
         ProblemInstance(
             objective=make_scalar_huber(0.5).objective,
-            region=Box(1.0, 1),
+            region=Box(1.0),
             x0=np.array([0.0]),
             f_star=0.5,
             label="bad",

@@ -22,7 +22,7 @@ def scalar_box_problem(target=0.0):
     """f(x) = (x - target)^2 / 2 on [-1, 1]."""
     return ProblemInstance(
         objective=DistanceSq(np.array([target])),
-        region=Box(1.0, 1),
+        region=Box(1.0),
         x0=np.array([1.0]),
         f_star=0.0,
         label="scalar_box",
@@ -357,7 +357,7 @@ def test_line_search_records_f_of_a_step_past_the_search():
     # k = 0 falls back to gbar ~ 0.6 (x = -0.6). At k = 1, d ~ 1.6 and the
     # search stops at gbar ~ 0.75, but the schedule step 10/11 lands in the
     # pocket, where f is lower: the step is taken, and its own f recorded
-    p = ProblemInstance(Pocketed(), Box(1.0, 1), np.array([0.0]), None, "pocketed")
+    p = ProblemInstance(Pocketed(), Box(1.0), np.array([0.0]), None, "pocketed")
     traj = run(p, cfg_for("euler", c=10.0, variant="line_search", max_iters=3,
                           record_iterates=True))
     assert traj.fs[2] == -1.0
@@ -616,7 +616,7 @@ class FaultyBox:
     from 0) has `bad` in its second entry."""
 
     def __init__(self, at, bad):
-        self.box, self.at, self.bad, self.calls = Box(1.0, 2), at, bad, 0
+        self.box, self.at, self.bad, self.calls = Box(1.0), at, bad, 0
 
     def lmo(self, g):
         atom = self.box.lmo(g).dense()
@@ -649,7 +649,7 @@ def test_non_finite_stage_point_names_stage_and_iteration(stage, bad):
 @pytest.mark.parametrize("name", TABLEAU_NAMES)
 def test_finite_states_whose_self_dot_overflows_pass(name):
     big = 1e200
-    p = ProblemInstance(DistanceSq(np.zeros(2)), Box(big, 2), np.array([big, -big]),
+    p = ProblemInstance(DistanceSq(np.zeros(2)), Box(big), np.array([big, -big]),
                         None, "big")
     assert not np.isfinite(p.x0 @ p.x0)
     x = p.x0
