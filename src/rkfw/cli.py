@@ -46,9 +46,8 @@ def _add_run_flags(p: argparse.ArgumentParser, omit=()):
     """One flag per config key not in `omit`; an unset flag keeps the default."""
     group = p
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "jobs":  # no flag (it only accepts 1); problem parameters follow
+        if f.name == "x_star":  # the first problem parameter
             group = p.add_argument_group("problem parameters")
-            continue
         if f.name in omit:
             continue
         kw = (dict(action="store_true") if f.type is bool

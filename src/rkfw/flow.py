@@ -15,8 +15,7 @@ from .tableau import make_tableau
 
 __all__ = [
     "flow_bound", "huber_flow_exact", "absorption_time", "FlowReference",
-    "reference_steps", "check_reference", "reference_trajectory",
-    "closed_form_reference", "total_accumulation_error",
+    "reference_trajectory", "closed_form_reference", "total_accumulation_error",
 ]
 
 

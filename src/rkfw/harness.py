@@ -22,9 +22,8 @@ from .solvers import SolverConfig, run
 from .tableau import resolve_tableau
 
 __all__ = [
-    "ExperimentConfig", "VALUE_PARSERS", "parse_config", "render",
-    "load_svmlight", "load_movielens", "build_problem", "solver_configs",
-    "tae_csv", "run_experiment", "PROBLEM_NAMES",
+    "ExperimentConfig", "parse_config", "render", "load_svmlight",
+    "load_movielens", "build_problem", "run_experiment",
 ]
 
 PROBLEM_NAMES = ("triangle", "scalar_huber", "sensing", "sensing_logistic",
@@ -49,7 +48,6 @@ class ExperimentConfig:
     ref_delta: float = None
     record_iterates: bool = False
     out_dir: str = "runs"
-    jobs: int = 1  # only 1: sweeps run serially; kept so manifests rerun
     # problem parameters; each problem reads the subset it understands
     x_star: tuple = (0.2, 0.3)
     epsilon: float = 0.5
@@ -60,6 +58,7 @@ class ExperimentConfig:
     alpha: float = 1000.0
     rho: float = 10.0
     data: str = None
+    jobs = 1  # not a field or a setting: only bench/tests/test_bench_inputs.py reads it
 
 
 # element type of each comma-list key; every other key is typed by its annotation
@@ -89,7 +88,7 @@ VALUE_PARSERS = {f.name: _list_of(_LIST_ELEMS[f.name]) if f.type is tuple
 
 #: keys that are no longer settings, each with the one value that manifests
 #: written before it went carry; parse_config accepts that value and drops it
-_RETIRED = {"ls_tol": 1e-10}
+_RETIRED = {"ls_tol": 1e-10, "jobs": 1}
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -189,6 +188,8 @@ def load_svmlight(path):
                 except ValueError:
                     raise ValueError(
                         f"line {lineno}: non-numeric value {val_s!r}") from None
+                if not np.isfinite(entries[idx - 1]):
+                    raise ValueError(f"line {lineno}: non-finite value {val_s!r}")
             labels.append(-1.0 if lab == 0.0 else lab)
             rows.append(entries)
             width = max(width, 1 + max(entries, default=-1))
@@ -272,8 +273,6 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
     if any(w < 2 for w in cfg.windows):
         raise ValueError("window must be >= 2")
-    if cfg.jobs != 1:
-        raise ValueError(f"jobs must be 1 (sweeps run serially), got {cfg.jobs}")
     record = cfg.record_iterates or bool(cfg.windows) or cfg.ref_delta is not None
     solver_cfgs = [SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
                                 delta=cfg.delta, max_iters=cfg.iters,

@@ -210,27 +210,30 @@ class HuberMatrix:
         return float(np.min(np.abs(np.abs(resid) - self.rho))) if len(resid) else np.inf
 
 
-def check_gradient(objective, points, step=1e-6):
+_FD_STEP = 1e-6  # check_gradient's central-difference step
+
+
+def check_gradient(objective, points):
     """Max relative error between analytic and central-difference gradients.
 
-    Points within 10*step of a known nondifferentiability surface are
+    Points within 10*_FD_STEP of a known nondifferentiability surface are
     skipped (central differences are invalid there). Returns the max over
     all checked points and coordinates.
     """
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)
-        if hasattr(objective, "kink_distance") and objective.kink_distance(x) < 10 * step:
+        if hasattr(objective, "kink_distance") and objective.kink_distance(x) < 10 * _FD_STEP:
             continue
         g = np.asarray(objective.gradient(x), dtype=float)
         flat = x.reshape(-1)
         gflat = g.reshape(-1)
         for i in range(flat.size):
             e = np.zeros_like(flat)
-            e[i] = step
+            e[i] = _FD_STEP
             fp = objective.value((flat + e).reshape(x.shape))
             fm = objective.value((flat - e).reshape(x.shape))
-            num = (fp - fm) / (2 * step)
+            num = (fp - fm) / (2 * _FD_STEP)
             err = abs(num - gflat[i]) / max(1.0, abs(gflat[i]))
             worst = max(worst, err)
     return worst

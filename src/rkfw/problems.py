@@ -15,7 +15,6 @@ from .objectives import DistanceSq, HuberMatrix, HuberScalar, LeastSquares, Logi
 __all__ = [
     "ProblemInstance", "make_triangle", "make_scalar_huber", "make_sensing",
     "make_sensing_logistic", "make_logistic", "make_matrix_completion",
-    "TRIANGLE_VERTICES",
 ]
 
 TRIANGLE_VERTICES = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -86,6 +85,8 @@ def _sensing_data(m, n, sparsity, noise_sd, seed):
         raise ValueError("dimensions must be positive")
     if not 0 < sparsity <= 1:
         raise ValueError("sparsity must lie in (0, 1]")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, n))
     x_true = np.zeros(n)

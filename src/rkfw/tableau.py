@@ -22,7 +22,6 @@ __all__ = [
     "resolve_tableau",
     "feasibility_certificate",
     "CertificateReport",
-    "validate_schedule",
     "cancellability_margin",
 ]
 

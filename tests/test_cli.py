@@ -103,9 +103,25 @@ def test_non_finite_rho_fails_before_any_run(tmp_path, monkeypatch, capsys, rho,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("text, message", [("", "no rows"),
-                                           ("1\n-1\n", "no feature columns")],
-                         ids=["empty", "no-columns"])
+@pytest.mark.parametrize("problem", ["sensing", "sensing_logistic"])
+@pytest.mark.parametrize("noise_sd", ["nan", "inf", "-1"])
+def test_bad_noise_sd_fails_before_any_run(tmp_path, monkeypatch, capsys, problem, noise_sd):
+    # NaN and inf used to run to NaN rows with exit 0; -1 failed inside numpy's RNG
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", problem, "--m", "20", "--n", "5", "--iters", "3",
+                 "--noise-sd", noise_sd, "--windows", ""]) == 1
+    assert capsys.readouterr().err == (
+        f"error: noise_sd must be non-negative and finite, got {float(noise_sd)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "d.svm: no rows"),
+    ("1\n-1\n", "d.svm: no feature columns"),
+    # a non-finite value used to run to NaN rows with exit 0
+    ("1 1:nan 2:0.5\n", "line 1: non-finite value 'nan'"),
+    ("-1 1:0.5\n1 1:inf 2:0.5\n", "line 2: non-finite value 'inf'"),
+], ids=["empty", "no-columns", "nan-value", "inf-value"])
 def test_logistic_without_data_fails_before_any_run(tmp_path, monkeypatch, capsys,
                                                     text, message):
     monkeypatch.chdir(tmp_path)
@@ -114,7 +130,7 @@ def test_logistic_without_data_fails_before_any_run(tmp_path, monkeypatch, capsy
         warnings.simplefilter("ignore")  # the loader warns on an empty file
         assert main(["solve", "--problem", "logistic", "--data", "d.svm",
                      "--iters", "3"]) == 1
-    assert capsys.readouterr().err == f"error: d.svm: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.svm"]
 
 
@@ -276,7 +292,7 @@ def _flags(verb):
 
 
 def test_run_flags_are_the_config_keys(monkeypatch):
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"jobs"}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert _flags("solve") == keys
     # tae writes only its t,epsilon rows, so it takes no run-directory flag
     assert _flags("tae") == keys - {"out_dir", "record_iterates", "windows"} | {"out"}
@@ -352,13 +368,51 @@ def test_jobs_accepts_only_1(tmp_path, capsys):
     base = ("problem = triangle\niters = 5\n"
             f"tableau = euler, rk44\nout_dir = {tmp_path / 'out'}\n")
     cfgfile = tmp_path / "exp.cfg"
-    cfgfile.write_text(base + "jobs = 1\n")  # as every written manifest has
+    cfgfile.write_text(base + "jobs = 1\n")  # as manifests written before it went have
     assert main(["sweep", "--config", str(cfgfile)]) == 0
-    assert "jobs = 1\n" in (tmp_path / "out" / "rk44_plain" / "manifest.txt").read_text()
     cfgfile.write_text(base.replace("out\n", "out2\n") + "jobs = 2\n")
     assert main(["sweep", "--config", str(cfgfile)]) == 1
-    assert "jobs must be 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: jobs is no longer a setting; only jobs = 1 is accepted\n")
     assert not (tmp_path / "out2").exists()
+
+
+# a manifest as written while jobs was a key, verbatim
+JOBS_MANIFEST = """# rkfw 0.1.0
+problem = sensing
+tableau = rk44
+variant = plain
+c = 2.0
+delta = 1.0
+iters = 25
+seed = 0
+windows = 5,20
+record_iterates = false
+out_dir = runs
+jobs = 1
+x_star = 0.2,0.3
+epsilon = 0.5
+m = 20
+n = 5
+sparsity = 0.1
+noise_sd = 0.05
+alpha = 4.0
+rho = 10.0
+"""
+
+
+def test_manifest_with_retired_jobs_reruns(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.txt").write_text(JOBS_MANIFEST)
+    assert main(["sweep", "--config", "old.txt"]) == 0
+    run_dir = tmp_path / "runs" / "rk44_plain"
+    rerun = (run_dir / "traj.csv").read_text()
+    assert (run_dir / "manifest.txt").read_text() == JOBS_MANIFEST.replace("jobs = 1\n", "")
+    assert main(["solve", "--problem", "sensing", "--m", "20", "--n", "5", "--alpha", "4",
+                 "--iters", "25", "--tableau", "rk44"]) == 0
+    fresh = (run_dir / "traj.csv").read_text()
+    assert ([row.rsplit(",", 1)[0] for row in rerun.splitlines()]
+            == [row.rsplit(",", 1)[0] for row in fresh.splitlines()])
 
 
 def test_sweep_bad_config(tmp_path, capsys):

@@ -21,7 +21,6 @@ the step norm. The line-search runs and the certificate tables split
 three ways between those kernels. Where the digests differ in another
 environment (another numpy, another BLAS, or an OpenBLAS without the
 Prescott kernel), the test fails and its message names both environments.
-The sensing configs are not covered yet.
 """
 
 import ctypes
@@ -44,12 +43,17 @@ REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 PINNED = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"}
 
 ALL = "tableau = euler, midpoint, rk38, rk44, rk5\n"
+SENSING_7 = "problem = sensing\nm = 500\nn = 100\nseed = 7\nwindows = 5, 20\n"
 SWEEPS = {
     # bench/workloads.py's triangle-tae config at seed 7
     "triangle-tae-7": ("problem = triangle\n"
                        "x_star = 0.09662958999198357, 0.27294020806219943\n"
                        "delta = 0.1\nref_delta = 0.01\nrecord_iterates = true\n"
                        + ALL + "variant = plain\niters = 150\n"),
+    # bench/workloads.py's sensing and sensing-ls configs at seed 7
+    "sensing-7": SENSING_7 + ALL + "variant = plain\niters = 1000\n",
+    "sensing-ls-7": (SENSING_7 + "tableau = euler, rk44\n"
+                     "variant = line_search\niters = 400\n"),
     "triangle-line-search": ("problem = triangle\n" + ALL
                              + "variant = line_search\niters = 100\n"),
     "triangle-momentum": ("problem = triangle\ntableau = euler\n"

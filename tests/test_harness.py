@@ -73,7 +73,7 @@ def test_parse_comments_blanks_and_types():
                      ref_delta=0.01, record_iterates=True, m=60, n=12,
                      sparsity=0.3, noise_sd=0.1, alpha=17.0),
     ExperimentConfig(problem="completion", data="ratings.tsv", rho=2.5,
-                     x_star=(0.15, 0.25), jobs=4),
+                     x_star=(0.15, 0.25)),
     ExperimentConfig(problem="triangle", windows=()),
 ])
 def test_render_parse_round_trip(cfg):
@@ -128,6 +128,12 @@ def test_svmlight_errors_carry_line_numbers(tmp_path):
         load_svmlight(p)
     p.write_text("1 1:zz\n")
     with pytest.raises(ValueError, match="line 1: non-numeric value"):
+        load_svmlight(p)
+    p.write_text("1 1:nan 2:0.5\n")
+    with pytest.raises(ValueError, match="line 1: non-finite value 'nan'"):
+        load_svmlight(p)
+    p.write_text("-1 1:0.5\n1 1:inf 2:0.5\n")
+    with pytest.raises(ValueError, match="line 2: non-finite value 'inf'"):
         load_svmlight(p)
     p.write_text("1 1\n")
     with pytest.raises(ValueError, match="line 1: expected idx:val"):
