@@ -13,7 +13,7 @@ def energies(problem, name, delta, horizon):
     cfg = SolverConfig(tableau=make_tableau(name), c=2.0, delta=delta,
                        max_iters=int(round(horizon / delta)), record_iterates=True)
     traj = run(problem, cfg)
-    return tuple(zigzag_energy(traj.iterates, w).mean_energy for w in (5, 20))
+    return tuple(zigzag_energy(traj.iterates, w).mean() for w in (5, 20))
 
 
 def main():

@@ -9,7 +9,6 @@ sweep    config-driven multi-run with a comparison summary
 
 import argparse
 import dataclasses
-import io
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from .diagnostics import zigzag_energy
 from .harness import (PROBLEM_NAMES, VALUE_PARSERS, ExperimentConfig,
                       build_problem, parse_config, run_experiment,
-                      solver_configs, tae_csv)
+                      solver_configs, tae_csv, zigzag_csv)
 from .solvers import VARIANTS, run
 from .tableau import feasibility_certificate, resolve_tableau
 
@@ -82,10 +81,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     pts = np.loadtxt(args.iterates, ndmin=2)
-    rep = zigzag_energy(pts, args.window)
-    buf = io.StringIO()
-    rep.write_csv(buf)
-    _emit(buf.getvalue(), args.out)
+    _emit(zigzag_csv(zigzag_energy(pts, args.window), args.window), args.out)
     return 0
 
 

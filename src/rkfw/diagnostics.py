@@ -3,33 +3,20 @@ and the per-step decrease bound check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
 
 __all__ = [
-    "ZigzagReport", "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
+    "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
     "decrease_bound_d4", "decrease_bound_check",
 ]
 
 
-@dataclass
-class ZigzagReport:
-    window: int
-    block_energies: np.ndarray
-    mean_energy: float
-
-    def write_csv(self, fh):
-        fh.write("block_start_k,energy\n")
-        for b, e in enumerate(self.block_energies):
-            fh.write(f"{b * self.window},{float(e)!r}\n")
-        fh.write(f"# mean,{float(self.mean_energy)!r}\n")
-
-
-def zigzag_energy(iterates, window: int) -> ZigzagReport:
-    """Mean sideways motion per block of `window` consecutive steps.
+def zigzag_energy(iterates, window: int) -> np.ndarray:
+    """Sideways motion per block of `window` consecutive steps, one energy
+    per block; their mean is the run's zig-zag energy.
 
     Each block spans iterates x(k)..x(k+W). The interior step directions
     are projected off the block's net displacement; what survives is
@@ -59,8 +46,7 @@ def zigzag_energy(iterates, window: int) -> ZigzagReport:
                 resid = d - dbar * (float(dbar @ d) / nrm2)
             total += math.sqrt(resid.dot(resid))  # np.linalg.norm, without its overhead
         energies.append(total / (window - 1))
-    energies = np.asarray(energies)
-    return ZigzagReport(window, energies, float(energies.mean()))
+    return np.asarray(energies)
 
 
 def sup_envelope_all(series) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Config files are flat `key = value` text with `#` comments. Every artifact
 a run produces lands in a per-run directory together with a manifest that,
-fed back through `sweep`, reproduces the run (timing column aside).
+fed back through `sweep`, reproduces the run (timing column aside). This
+module is the one place those files are formatted.
 """
 
 import dataclasses
@@ -269,6 +270,11 @@ def build_problem(cfg: ExperimentConfig):
     raise ValueError(f"unknown problem: {name} (expected one of {', '.join(PROBLEM_NAMES)})")
 
 
+def _run_name(solver_cfg: SolverConfig) -> str:
+    """A run's directory under out_dir: the tableau's base name, then the variant."""
+    return f"{Path(solver_cfg.tableau.name).name}_{solver_cfg.variant}"
+
+
 def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
     if any(w < 2 for w in cfg.windows):
@@ -280,10 +286,38 @@ def solver_configs(cfg: ExperimentConfig) -> list:
                    for name in cfg.tableau]
     if not solver_cfgs:
         raise ValueError("config names no tableau")
+    names = [_run_name(sc) for sc in solver_cfgs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(
+                f"two runs would share the run directory {Path(cfg.out_dir) / name}")
     # after the schedule checks: check_reference assumes a valid delta and iters
     if cfg.ref_delta is not None:
         check_reference(cfg.ref_delta, cfg.delta, cfg.iters)
     return solver_cfgs
+
+
+def traj_csv(traj) -> str:
+    """traj.csv: one `k,t,f,gap,step_norm,violation,wall_ns` row per visited point."""
+    ints = [np.asarray(col).astype(np.int64).tolist() for col in (traj.ks, traj.wall_ns)]
+    floats = [np.asarray(col, dtype=float).tolist()
+              for col in (traj.ts, traj.fs, traj.gaps, traj.step_norms, traj.violations)]
+    return "k,t,f,gap,step_norm,violation,wall_ns\n" + "".join(
+        f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n"
+        for k, w, t, f, gap, sn, v in zip(*ints, *floats))
+
+
+def iterates_txt(traj) -> str:
+    """One recorded iterate per line, flattened, entries space-separated."""
+    rows = traj.iterates.reshape(len(traj.iterates), -1)
+    # a row at a time: a whole-array tolist() would hold every entry as a float object
+    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+def zigzag_csv(energies, window: int) -> str:
+    """`block_start_k,energy` rows of zigzag_energy's blocks, then their mean."""
+    rows = "".join(f"{b * window},{e!r}\n" for b, e in enumerate(energies.tolist()))
+    return f"block_start_k,energy\n{rows}# mean,{float(energies.mean())!r}\n"
 
 
 def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
@@ -296,28 +330,24 @@ def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
 
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
              out_root: Path) -> dict:
-    run_dir = out_root / f"{solver_cfg.tableau.name}_{solver_cfg.variant}"
-    run_dir.mkdir(parents=True, exist_ok=True)
     traj = run(problem, solver_cfg)
-    with open(run_dir / "traj.csv", "w") as fh:
-        traj.write_csv(fh)
+    # the directory follows the run, so a run that raises leaves none
+    run_dir = out_root / _run_name(solver_cfg)
+    run_dir.mkdir(exist_ok=True)
+    (run_dir / "traj.csv").write_text(traj_csv(traj))
     if cfg.record_iterates:
-        with open(run_dir / "iterates.txt", "w") as fh:
-            traj.write_iterates(fh)
+        (run_dir / "iterates.txt").write_text(iterates_txt(traj))
     for w in cfg.windows:
         if len(traj.iterates) >= w + 1:
-            report = zigzag_energy(traj.iterates, w)
-            with open(run_dir / f"zigzag_w{w}.csv", "w") as fh:
-                report.write_csv(fh)
+            (run_dir / f"zigzag_w{w}.csv").write_text(
+                zigzag_csv(zigzag_energy(traj.iterates, w), w))
     if cfg.ref_delta is not None:
         # rows first, file second: a failed reference leaves no empty tae.csv
         (run_dir / "tae.csv").write_text(tae_csv(problem, traj, cfg))
     # manifest pins this single run: same config, tableau narrowed to one
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))
-    with open(run_dir / "manifest.txt", "w") as fh:
-        fh.write(f"# rkfw {__version__}\n")
-        fh.write(render(single))
+    (run_dir / "manifest.txt").write_text(f"# rkfw {__version__}\n" + render(single))
     return {
         "run": run_dir.name,
         "tableau": solver_cfg.tableau.name,

@@ -87,6 +87,8 @@ def _sensing_data(m, n, sparsity, noise_sd, seed):
         raise ValueError("sparsity must lie in (0, 1]")
     if not 0 <= noise_sd < np.inf:
         raise ValueError(f"noise_sd must be non-negative and finite, got {noise_sd}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((m, n))
     x_true = np.zeros(n)

@@ -47,7 +47,7 @@ class SolverConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "momentum":
-            if self.tableau.q != 1 or np.any(self.tableau.a != 0.0):
+            if self.tableau.q != 1:
                 raise ValueError("momentum is defined for the one-stage scheme only")
             if self.delta != 1.0:
                 raise ValueError("momentum is defined at delta = 1 only")
@@ -71,20 +71,6 @@ class Trajectory:
         if self.f_star is None:
             raise ValueError("trajectory has no recorded optimum")
         return self.fs - self.f_star
-
-    def write_csv(self, fh):
-        fh.write("k,t,f,gap,step_norm,violation,wall_ns\n")
-        ints = [np.asarray(col).astype(np.int64).tolist() for col in (self.ks, self.wall_ns)]
-        floats = [np.asarray(col, dtype=float).tolist()
-                  for col in (self.ts, self.fs, self.gaps, self.step_norms, self.violations)]
-        fh.writelines(f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n"
-                      for k, w, t, f, gap, sn, v in zip(*ints, *floats))
-
-    def write_iterates(self, fh):
-        if self.iterates is None:
-            raise ValueError("run did not record iterates")
-        for row in self.iterates.reshape(len(self.iterates), -1).tolist():
-            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def _all_finite(v) -> bool:

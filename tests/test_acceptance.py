@@ -185,7 +185,7 @@ def test_acceptance_07_zigzag_delta_scaling():
     energy = {}
     for delta in (1.0, 0.1, 0.01):
         traj = _run(prob, "euler", int(round(100 / delta)), delta=delta, record=True)
-        energy[delta] = {w: zigzag_energy(traj.iterates, w).mean_energy for w in (5, 20)}
+        energy[delta] = {w: float(zigzag_energy(traj.iterates, w).mean()) for w in (5, 20)}
     ratios = {f"W={w} {a}->{b}": energy[b][w] / energy[a][w]
               for w in (5, 20) for a, b in ((1.0, 0.1), (0.1, 0.01))}
     bad = {k: round(v, 4) for k, v in ratios.items() if not 0.05 <= v <= 0.3}
@@ -197,7 +197,7 @@ def test_acceptance_08_zigzag_multistep_ordering():
     # measured at window 5 on the same seeded instance.
     t0 = time.perf_counter()
     prob = make_sensing_logistic(seed=17)
-    e = {name: zigzag_energy(_run(prob, name, 100, record=True).iterates, 5).mean_energy
+    e = {name: zigzag_energy(_run(prob, name, 100, record=True).iterates, 5).mean()
          for name in ("euler", "midpoint", "rk44")}
     elapsed = time.perf_counter() - t0
     assert e["rk44"] < e["midpoint"] < e["euler"], (

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import rkfw.cli
+import rkfw.harness
 from rkfw.cli import build_parser, main
 from rkfw.harness import ExperimentConfig
+from rkfw.problems import make_triangle
 from rkfw.tableau import load_tableau_file
 
 
@@ -112,6 +114,16 @@ def test_bad_noise_sd_fails_before_any_run(tmp_path, monkeypatch, capsys, proble
                  "--noise-sd", noise_sd, "--windows", ""]) == 1
     assert capsys.readouterr().err == (
         f"error: noise_sd must be non-negative and finite, got {float(noise_sd)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("problem", ["sensing", "sensing_logistic"])
+def test_negative_seed_fails_before_any_run(tmp_path, monkeypatch, capsys, problem):
+    # numpy's RNG used to reject it without naming the key
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--problem", problem, "--m", "20", "--n", "5", "--iters", "3",
+                 "--seed", "-1", "--windows", ""]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -248,6 +260,71 @@ def test_solve_writes_run_dir(tmp_path):
     assert code == 0
     assert (tmp_path / "rk44_plain" / "traj.csv").exists()
     assert (tmp_path / "rk44_plain" / "iterates.txt").exists()
+
+
+EULER_FILE = "1\n0\n1\n0\n"  # q = 1, A = [[0]], weights [1], offsets [0]
+
+
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
+def test_tableau_file_runs_under_out_dir_by_base_name(tmp_path, monkeypatch, absolute):
+    # the run directory was out_dir / "<path as given>_plain": an absolute path
+    # dropped out_dir and wrote beside the tableau file, a relative one nested
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tabs").mkdir()
+    (tmp_path / "tabs" / "mytab.txt").write_text(EULER_FILE)
+    path = str(tmp_path / "tabs" / "mytab.txt") if absolute else "tabs/mytab.txt"
+    assert main(["solve", "--problem", "triangle", "--iters", "3", "--windows", "",
+                 "--tableau", path, "--out-dir", "out"]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["mytab.txt_plain"]
+    assert [p.name for p in (tmp_path / "tabs").iterdir()] == ["mytab.txt"]
+    # the manifest keeps the path, so it reruns from anywhere the path resolves
+    manifest = (tmp_path / "out" / "mytab.txt_plain" / "manifest.txt").read_text()
+    assert f"tableau = {path}\n" in manifest
+
+
+@pytest.mark.parametrize("tableaus, run_dir", [
+    ("euler,euler", "euler_plain"),
+    ("euler,tabs/euler", "euler_plain"),
+    ("tabs/mytab.txt,more/mytab.txt", "mytab.txt_plain"),
+], ids=["repeated", "file-named-like-a-builtin", "same-base-name"])
+def test_runs_sharing_a_directory_fail_before_any_run(tmp_path, monkeypatch, capsys,
+                                                     tableaus, run_dir):
+    # a repeated name used to run twice into one directory, and summary.csv
+    # got two identical rows
+    monkeypatch.chdir(tmp_path)
+    for name in ("tabs/euler", "tabs/mytab.txt", "more/mytab.txt"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(EULER_FILE)
+    assert main(["solve", "--problem", "triangle", "--iters", "3",
+                 "--tableau", tableaus, "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: two runs would share the run directory {Path('out', run_dir)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_that_raises_leaves_no_run_directory(tmp_path, monkeypatch, capsys):
+    # the run directory used to be made before the run, and was left empty
+    problem = make_triangle()
+    check = problem.region.membership_violation
+    rows = []
+
+    def failing_check(x):  # run checks membership once per row
+        rows.append(x)
+        if len(rows) == 9 + 6:  # euler's rows 0..8, then midpoint's row k = 5
+            raise ArithmeticError("test oracle failed at k = 5")
+        return check(x)
+
+    problem.region.membership_violation = failing_check
+    monkeypatch.setattr(rkfw.harness, "build_problem", lambda cfg: problem)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("problem = triangle\niters = 8\n"
+                                      "tableau = euler, midpoint, rk44\nout_dir = out\n")
+    assert main(["sweep", "--config", "exp.cfg"]) == 1
+    assert capsys.readouterr().err == "error: test oracle failed at k = 5\n"
+    # the sweep stops at midpoint: euler's files stay, and no later run starts
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["euler_plain"]
+    assert sorted(p.name for p in (tmp_path / "out" / "euler_plain").iterdir()) == [
+        "manifest.txt", "traj.csv", "zigzag_w5.csv"]
 
 
 def test_solve_momentum_conflict(tmp_path, capsys):

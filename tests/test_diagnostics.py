@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 
 from rkfw.diagnostics import (decrease_bound_check, decrease_bound_d4,
                               fit_rate_slope, sup_envelope_all, zigzag_energy)
+from rkfw.harness import zigzag_csv
 from rkfw.problems import make_triangle
 from rkfw.solvers import SolverConfig, run
 from rkfw.tableau import ButcherTableau, make_tableau, stage_gammas
@@ -17,33 +16,29 @@ STAIR = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0)]
 def test_zigzag_hand_example():
     # W=3 block over the staircase: dbar=(3,1); the two interior steps
     # (1,-1) and (1,1) keep sqrt(8/10) and sqrt(8/10) after projection
-    rep = zigzag_energy(STAIR, window=3)
-    assert rep.mean_energy == pytest.approx(0.9486832980505138, abs=1e-12)
-    assert len(rep.block_energies) == 1
+    energies = zigzag_energy(STAIR, window=3)
+    assert energies.mean() == pytest.approx(0.9486832980505138, abs=1e-12)
+    assert len(energies) == 1
 
 
 def test_zigzag_collinear_is_zero():
     pts = [(float(k), 2.0 * k) for k in range(9)]
-    rep = zigzag_energy(pts, window=4)
-    assert rep.mean_energy == pytest.approx(0.0, abs=1e-12)
+    assert zigzag_energy(pts, window=4).mean() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zigzag_stationary_is_zero():
-    rep = zigzag_energy([(1.0, 1.0)] * 7, window=3)
-    assert rep.mean_energy == 0.0
+    assert zigzag_energy([(1.0, 1.0)] * 7, window=3).mean() == 0.0
 
 
 def test_zigzag_degenerate_block_keeps_raw_steps():
     # closed loop: net displacement 0, steps kept unprojected
     loop = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
-    rep = zigzag_energy(loop, window=4)
-    assert rep.mean_energy == pytest.approx(1.0)
+    assert zigzag_energy(loop, window=4).mean() == pytest.approx(1.0)
 
 
 def test_zigzag_blocks_are_disjoint_and_partial_dropped():
     pts = [(float(k), float(k % 2)) for k in range(12)]  # 11 steps
-    rep = zigzag_energy(pts, window=5)
-    assert len(rep.block_energies) == 2  # steps 0-5, 5-10; trailing 1 dropped
+    assert len(zigzag_energy(pts, window=5)) == 2  # steps 0-5, 5-10; trailing 1 dropped
 
 
 def test_zigzag_validation():
@@ -57,8 +52,8 @@ def test_zigzag_validation():
                 min_size=7, max_size=12),
        st.floats(-3, 3), st.floats(-3, 3))
 def test_zigzag_translation_invariant(pts, dx, dy):
-    base = zigzag_energy(pts, window=3).mean_energy
-    moved = zigzag_energy([(x + dx, y + dy) for x, y in pts], window=3).mean_energy
+    base = zigzag_energy(pts, window=3).mean()
+    moved = zigzag_energy([(x + dx, y + dy) for x, y in pts], window=3).mean()
     assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -66,16 +61,16 @@ def test_zigzag_translation_invariant(pts, dx, dy):
                 min_size=7, max_size=12),
        st.floats(0.1, 4.0))
 def test_zigzag_scales_linearly(pts, s):
-    base = zigzag_energy(pts, window=3).mean_energy
-    scaled = zigzag_energy([(s * x, s * y) for x, y in pts], window=3).mean_energy
+    base = zigzag_energy(pts, window=3).mean()
+    scaled = zigzag_energy([(s * x, s * y) for x, y in pts], window=3).mean()
     assert scaled == pytest.approx(s * base, rel=1e-9, abs=1e-9)
 
 
 def test_zigzag_window_two_single_interior_step():
     pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
-    rep = zigzag_energy(pts, window=2)
+    energies = zigzag_energy(pts, window=2)
     # dbar=(2,0), step (1,-1) projects to (0,-1): energy 1
-    assert rep.block_energies[0] == pytest.approx(1.0)
+    assert energies[0] == pytest.approx(1.0)
 
 
 def test_zigzag_list_and_stacked_array_agree_bitwise():
@@ -86,14 +81,12 @@ def test_zigzag_list_and_stacked_array_agree_bitwise():
     for w in (2, 5, 20):
         a = zigzag_energy([r.copy() for r in rows], w)
         b = zigzag_energy(rows, w)
-        assert np.array_equal(a.block_energies, b.block_energies)
-        assert a.mean_energy == b.mean_energy
+        assert np.array_equal(a, b)
+        assert a.mean() == b.mean()
 
 
 def test_zigzag_csv():
-    buf = io.StringIO()
-    zigzag_energy(STAIR, window=3).write_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = zigzag_csv(zigzag_energy(STAIR, window=3), 3).splitlines()
     assert lines[0] == "block_start_k,energy"
     assert lines[1].startswith("0,0.9486832980505138")
     assert lines[-1].startswith("# mean,")

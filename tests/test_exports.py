@@ -29,7 +29,8 @@ def test_package_exports_are_the_submodules_exports():
     ("tableau", "validate_schedule"), ("flow", "reference_steps"),
     ("flow", "check_reference"), ("problems", "TRIANGLE_VERTICES"),
     ("harness", "VALUE_PARSERS"), ("harness", "solver_configs"),
-    ("harness", "tae_csv"), ("harness", "PROBLEM_NAMES"),
+    ("harness", "tae_csv"), ("harness", "PROBLEM_NAMES"), ("harness", "traj_csv"),
+    ("harness", "iterates_txt"), ("harness", "zigzag_csv"),
 ])
 def test_internal_names_live_only_in_their_module(module, name):
     assert hasattr(importlib.import_module(f"rkfw.{module}"), name)

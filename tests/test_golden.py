@@ -27,6 +27,7 @@ import ctypes
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,7 +62,14 @@ SWEEPS = {
     "scalar-huber": ("problem = scalar_huber\nepsilon = 0.1\n"
                      "tableau = euler, rk44\ndelta = 0.5\nref_delta = 0.05\n"
                      "iters = 200\n"),
+    "sensing-logistic-7": ("problem = sensing_logistic\nm = 200\nn = 50\nseed = 7\n"
+                           "tableau = euler, rk44\niters = 200\n"),
+    "completion": ("problem = completion\ndata = ratings20.tsv\n"
+                   "tableau = euler\niters = 30\n"),
 }
+# fixtures a config reads, copied beside it so that its manifest names them
+# by a relative path
+DATA = {"completion": "ratings20.tsv"}
 
 
 def _canonical(path):
@@ -87,6 +95,8 @@ def compute_digests():
                 work.mkdir()
                 os.chdir(work)  # out_dir is relative, as in bench's configs
                 (work / "sweep.cfg").write_text(text + "out_dir = out\n")
+                if name in DATA:
+                    shutil.copy(Path(__file__).parent / "fixtures" / DATA[name], work)
                 assert main(["sweep", "--config", "sweep.cfg"]) == 0, name
                 digests[name] = _hashes(work / "out")
         finally:
