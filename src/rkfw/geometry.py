@@ -6,7 +6,6 @@ materializes the answer at once.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +15,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DenseAtom:
     """An oracle answer; dense() returns its point as a float array.
 
     Kept, rather than returning the array, only because bench/spans.py
-    times each answer by setting `dense` on it.
+    times each answer by setting `dense` on it, an instance attribute that
+    shadows the method: so the class keeps its __dict__ (no __slots__).
     """
-    point: np.ndarray
+
+    def __init__(self, point):
+        self.point = point
 
     def dense(self):
         return np.asarray(self.point, dtype=float)
@@ -88,12 +89,49 @@ class L1Ball:
         return _excess(np.abs(x).sum() - self.alpha)
 
 
-def _barycentric_violation(m, coeffs, rhs):
+def _barycentric_violation(m, m_norm, coeffs, rhs):
     """How far barycentric coefficients are from certifying membership:
-    the most negative coefficient or the solve's residual."""
+    the most negative coefficient or the solve's residual. The residual is
+    the solve's normwise backward error, ||m c - rhs|| relative to
+    ||m||_F ||c|| + ||rhs|| (m_norm is ||m||_F), which does not grow with
+    the hull's scale as ||m c - rhs|| does."""
     r = m @ coeffs - rhs
-    recon = math.sqrt(r.dot(r))  # np.linalg.norm(r), without its overhead
+    # each norm is np.linalg.norm's, without its overhead
+    recon = math.sqrt(r.dot(r)) / (m_norm * math.sqrt(coeffs.dot(coeffs))
+                                   + math.sqrt(rhs.dot(rhs)))
     return _excess(max(-coeffs.min(), recon))
+
+
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _coordinates_decide(m, inv) -> bool:
+    """Whether, for this hull, a point x whose coordinates
+    c' = fl(inv[:, :-1] x + inv[:, -1]) are all >= 0 provably gets 0.0 from
+    VertexHull's full check, whose fast path takes c = fl(inv [x; 1]) and
+    returns 0.0 once max(-min(c), residual) < 0.5e-12.
+
+    With k = n + 1, u = _U and gamma = k u / (1 - k u): c and c' are two
+    roundings of q = inv [x; 1], each within gamma (|inv| |[x; 1]|)_i of it
+    in any summation order, fused or not. Let p be x's exact barycentric
+    coordinates: [x; 1] = m p and sum(p) = 1. Then |[x; 1]| <= |m| |p| and
+    q - p = (inv m - I) p, so c and c' both lie within eps ||p||_1 of p,
+        eps = 2 gamma g + f,
+    where g and f are the largest entries of |inv| |m| and of the computed
+    |inv m - I|: one gamma g bounds each product's rounding, the other that
+    of the computed inv m. From c' >= 0, p >= -eps ||p||_1, so p's negative
+    entries sum to at most k eps ||p||_1, and ||p||_1 = 1 + 2 (that sum)
+    <= 2 once k eps <= 1/4. Then c >= -4 eps, and the residual is at most
+    ||c - p|| / ||c|| + gamma <= 4 k eps + eps, as
+    ||c|| >= sum(c) / sqrt(k) >= 1 / (2 sqrt(k)). Both are below 0.5e-12
+    when 8 k eps is, so the shortcut's margin is 0: it needs only that no
+    coordinate of c' is negative.
+    """
+    k = len(m)
+    gamma = k * _U / (1 - k * _U)
+    g = (np.abs(inv) @ np.abs(m)).max()
+    eps = 2 * gamma * g + np.abs(inv @ m - np.eye(k)).max()
+    return bool(8 * k * eps < 0.5e-12)
 
 
 class VertexHull:
@@ -102,7 +140,8 @@ class VertexHull:
     Membership is a barycentric solve [vertices^T; 1^T] c = [x; 1], so the
     hull must be a simplex: n+1 affinely independent vertices in n
     dimensions, checked when built. The system and its inverse are built
-    once, as barycentric_matrix and barycentric_inverse.
+    once, as barycentric_matrix and barycentric_inverse, and so are the
+    inverse's split columns, which give c without building [x; 1].
     """
 
     def __init__(self, vertices):
@@ -118,25 +157,36 @@ class VertexHull:
             raise ValueError("degenerate hull: the vertices are affinely dependent")
         self.vertices = vs
         self.barycentric_matrix = m
-        self.barycentric_inverse = np.linalg.solve(m, np.eye(len(vs)))
+        inv = np.linalg.solve(m, np.eye(len(vs)))
+        self.barycentric_inverse = inv
+        self._inv_x, self._inv_1 = inv[:, :-1], inv[:, -1]
+        self._m_norm = math.sqrt((m * m).sum())
+        self._coordinates_decide = _coordinates_decide(m, inv)
 
     def lmo(self, g) -> DenseAtom:
         scores = self.vertices @ np.asarray(g, dtype=float)
         return DenseAtom(self.vertices[scores.argmin()].copy())
 
     def membership_violation(self, x) -> float:
-        m = self.barycentric_matrix
-        rhs = np.concatenate((np.asarray(x, dtype=float).reshape(-1), (1.0,)))
+        x = np.asarray(x, dtype=float).reshape(-1)
+        # No negative coordinate: the checks below return 0.0, as
+        # _coordinates_decide proves. A NaN coordinate (from a NaN entry)
+        # fails the test, and an infinite entry gives a -inf or NaN one.
+        if (self._coordinates_decide
+                and (self._inv_x.dot(x) + self._inv_1).min() >= 0.0):
+            return 0.0
+        m, m_norm = self.barycentric_matrix, self._m_norm
+        rhs = np.concatenate((x, (1.0,)))
         # The inverse's coefficients differ from the least-squares ones by
         # rounding (about cond(m) eps |c|), so a point this far below the
         # snap threshold is interior under both. Any other point is
         # reported from the least-squares solution, digit for digit.
-        fast = _barycentric_violation(m, self.barycentric_inverse @ rhs, rhs)
+        fast = _barycentric_violation(m, m_norm, self.barycentric_inverse @ rhs, rhs)
         if fast < 0.5e-12:
             return 0.0
         if math.isnan(fast):  # a point with a NaN entry
             return fast
-        v = _barycentric_violation(m, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
+        v = _barycentric_violation(m, m_norm, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
         # snap solver noise to a clean zero for interior points
         return 0.0 if v < 1e-12 else v
 

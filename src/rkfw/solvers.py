@@ -95,9 +95,11 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
     gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
     xi, gap = [], 0.0
     for i, gamma in enumerate(gammas):
-        xb = x.copy()
+        # a stage with no terms sees x itself; a sum is always a new array,
+        # so nothing here writes into x
+        xb = x
         for j, aij in t.stage_terms[i]:
-            xb += aij * xi[j]
+            xb = xb + aij * xi[j]
         if not _all_finite(xb):
             raise ArithmeticError(f"non-finite state at stage {i}, iteration {k}")
         g = obj.gradient(xb)
@@ -105,10 +107,10 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
         if i == 0:
             gap = float(np.vdot(g, xb - sd))
         xi.append(gamma * (sd - xb))
-    x_next = x.copy()
+    x_next = x
     # a zero weight is applied too: x + 0.0 * step can turn -0.0 into +0.0
     for w, step in zip(t.weight_floats, xi):
-        x_next += w * step
+        x_next = x_next + w * step
     if not _all_finite(x_next):
         raise ArithmeticError(f"non-finite step at iteration {k}")
     return x_next, gap

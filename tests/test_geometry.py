@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -136,6 +138,109 @@ def test_hull_membership_matches_lstsq(seed, n):
     want = lstsq_membership(vs, x)
     assert want >= 0.4
     assert hull.membership_violation(x) == want
+
+
+def full_check(hull, x):
+    """VertexHull.membership_violation without its coordinate shortcut: the
+    inverse's fast path, then lstsq, as the method ran before the shortcut.
+    The reference the shortcut must agree with, byte for byte."""
+    m = hull.barycentric_matrix
+    rhs = np.concatenate((np.asarray(x, dtype=float).reshape(-1), (1.0,)))
+    fast = geometry._barycentric_violation(
+        m, hull._m_norm, hull.barycentric_inverse @ rhs, rhs)
+    if fast < 0.5e-12:
+        return 0.0
+    if math.isnan(fast):
+        return fast
+    v = geometry._barycentric_violation(
+        m, hull._m_norm, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
+    return 0.0 if v < 1e-12 else v
+
+
+# the origin lies on TRIANGLE's bottom edge, and deep inside this one
+AROUND_ORIGIN = [(-1.0, -1.0), (1.0, -0.7), (0.1, 1.0)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+@pytest.mark.parametrize("base", [TRIANGLE, AROUND_ORIGIN],
+                         ids=["triangle", "around-origin"])
+def test_hull_membership_is_scale_free(base, scale):
+    # the residual is a backward error: an absolute one grows with the
+    # scale, and at 1e5 would report most interior points as outside
+    vs = np.array(base) * scale
+    hull = VertexHull(vs)
+    rng = np.random.default_rng(0)
+    # interior, every coordinate >= 0.02 / 1.06
+    inside = (0.02 + rng.dirichlet(np.ones(3), size=300)) / 1.06
+    points = list(inside @ vs)
+    if base is AROUND_ORIGIN:  # near the origin, where ||[x; 1]|| is about 1
+        points += list(inside @ vs * 1e-9)
+    # on each facet, and at each vertex
+    for j in range(3):
+        facet = inside[:50].copy()
+        facet[:, (j + 1) % 3] += facet[:, j]
+        facet[:, j] = 0.0
+        points += [*(facet @ vs), vs[j]]
+    for x in points:
+        assert full_check(hull, x) == 0.0
+        assert hull.membership_violation(x) == 0.0
+    # outside by 1e-6 in barycentric terms, across each facet; lstsq's
+    # coefficients are off by about cond(m) u, and cond(m) grows as the scale
+    for j in range(3):
+        c = np.full(3, 0.5)
+        c[j] = -1e-6
+        c[(j + 1) % 3] += 1e-6
+        for got in (full_check(hull, c @ vs), hull.membership_violation(c @ vs)):
+            assert got == pytest.approx(1e-6, rel=0, abs=1e-15 + 2e-16 * scale)
+
+
+def hull_point(kind, vs, rng):
+    """A point of the given kind for the simplex vs."""
+    k = len(vs)
+    j = int(rng.integers(k))
+    c = rng.dirichlet(np.ones(k))
+    if kind == "vertex":
+        return vs[j].copy()
+    if kind == "facet":  # coordinate j within +-1e-10 of 0
+        t = rng.uniform(-1e-10, 1e-10)
+        c[j] = 0.0
+        c = c / c.sum() * (1.0 - t)
+        c[j] = t
+    elif kind == "outside":
+        t = 10.0 ** rng.uniform(-8, 1)
+        c[j] -= t
+        c[(j + 1) % k] += t
+    x = c @ vs
+    if kind in ("nan", "inf", "-inf"):
+        x[int(rng.integers(len(x)))] = float(kind)
+    return x
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-3.0, 3.0),
+       st.sampled_from(["interior", "facet", "vertex", "outside", "nan", "inf", "-inf"]))
+def test_hull_shortcut_agrees_with_the_full_check(seed, n, log_scale, kind):
+    rng = np.random.default_rng(seed)
+    # a perturbed simplex, shifted off the origin, at the drawn scale
+    simplex = np.vstack([np.zeros(n), np.eye(n)]) - 1.0 / (n + 1)
+    vs = (simplex + 0.3 * rng.uniform(-1, 1, (n + 1, n))
+          + rng.uniform(-0.5, 0.5, n)) * 10.0 ** log_scale
+    hull = VertexHull(vs)
+    x = hull_point(kind, vs, rng)
+    got, want = hull.membership_violation(x), full_check(hull, x)
+    assert type(got) is float and type(want) is float
+    # as bytes: the sign of a zero and a NaN must match too
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_triangle_points_skip_the_solve(monkeypatch):
+    # the rounding bound admits the triangle: its interior points, edge
+    # points and vertices are settled by their coordinates alone
+    hull = VertexHull(TRIANGLE)
+    monkeypatch.setattr(geometry, "_barycentric_violation", None)
+    for x in ([0.2, 0.3], [0.0, 0.0], [0.5, 0.5], *TRIANGLE):
+        assert hull.membership_violation(x) == 0.0
 
 
 def test_box_and_l1_membership():
@@ -301,6 +406,22 @@ def test_power_iteration_restart_in_loop_fails_like_two_products(monkeypatch):
     with pytest.raises(PowerIterationError) as old:
         two_product_power_iteration(g, max_iter=40)
     assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("region, g", [
+    (Box(1.0), [0.5, -1.0]),
+    (L1Ball(2.0), [0.5, -1.0]),
+    (VertexHull(TRIANGLE), [0.5, -1.0]),
+    (NuclearBall(1.0, (2, 3)), np.arange(6.0).reshape(2, 3)),
+], ids=["box", "l1", "hull", "nuclear"])
+def test_instance_dense_shadows_the_method(region, g):
+    # bench/spans.py times every answer this way, so an answer keeps an
+    # instance __dict__
+    atom = region.lmo(g)
+    calls, dense = [], atom.dense
+    object.__setattr__(atom, "dense", lambda: calls.append(1) or dense())
+    assert np.array_equal(atom.dense(), region.lmo(g).dense())
+    assert calls == [1]
 
 
 def test_atom_dense_shapes():

@@ -149,6 +149,32 @@ def test_step_is_bit_identical_to_reference(make, name):
         x = x_next
 
 
+@pytest.mark.parametrize("make", [
+    make_triangle,
+    lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
+], ids=["triangle", "sensing"])
+@pytest.mark.parametrize("name", TABLEAU_NAMES)
+def test_step_writes_into_nothing_it_was_handed(make, name):
+    # stage 0 hands x itself to the gradient: neither x nor any stage point
+    # may be written into, during the step or after it handed the point on
+    p = make()
+    handed, gradient = [], p.objective.gradient
+
+    def logged(x):
+        handed.append((x, x.tobytes()))
+        return gradient(x)
+
+    p.objective.gradient = logged
+    x = np.array(p.x0 + 0.01, dtype=float)
+    x.flags.writeable = False  # a write into x raises
+    before = x.tobytes()
+    x_next, _ = rk_fw_step(x, 3, cfg_for(name), p)
+    assert handed[0][0] is x
+    assert x.tobytes() == before
+    assert all(point.tobytes() == seen for point, seen in handed)
+    assert not np.shares_memory(x_next, x)
+
+
 def test_midpoint_applies_its_zero_weight():
     p = signed_zero_problem()
     x_next, _ = rk_fw_step(p.x0, 0, cfg_for("midpoint"), p)
