@@ -2,7 +2,9 @@
 
 Each region answers lmo(g): an extreme point minimizing <g, s>, returned
 as a DenseAtom whose dense() gives the point as an array. Every caller
-materializes the answer at once.
+materializes the answer at once. A VertexHull's answer is one of its
+read-only vertex rows, shared by every call that picks it: a caller that
+writes into an atom copies it first.
 """
 
 import math
@@ -142,10 +144,11 @@ class VertexHull:
     dimensions, checked when built. The system and its inverse are built
     once, as barycentric_matrix and barycentric_inverse, and so are the
     inverse's split columns, which give c without building [x; 1].
+    vertices is a read-only copy, and lmo answers with its rows.
     """
 
     def __init__(self, vertices):
-        vs = np.asarray(vertices, dtype=float)
+        vs = np.array(vertices, dtype=float)
         if vs.ndim != 2 or not np.all(np.isfinite(vs)):
             raise ValueError("need a 2-d array of finite vertices")
         n = vs.shape[1]
@@ -155,7 +158,9 @@ class VertexHull:
         m = np.vstack([vs.T, np.ones(len(vs))])
         if np.linalg.matrix_rank(m) < len(vs):
             raise ValueError("degenerate hull: the vertices are affinely dependent")
+        vs.flags.writeable = False  # before the row views, which inherit it
         self.vertices = vs
+        self._rows = tuple(vs)
         self.barycentric_matrix = m
         inv = np.linalg.solve(m, np.eye(len(vs)))
         self.barycentric_inverse = inv
@@ -164,16 +169,18 @@ class VertexHull:
         self._coordinates_decide = _coordinates_decide(m, inv)
 
     def lmo(self, g) -> DenseAtom:
-        scores = self.vertices @ np.asarray(g, dtype=float)
-        return DenseAtom(self.vertices[scores.argmin()].copy())
+        # ndarray.dot rounds as @ does, without matmul's dispatch
+        return DenseAtom(self._rows[self.vertices.dot(g).argmin()])
 
     def membership_violation(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
         # No negative coordinate: the checks below return 0.0, as
         # _coordinates_decide proves. A NaN coordinate (from a NaN entry)
         # fails the test, and an infinite entry gives a -inf or NaN one.
-        if (self._coordinates_decide
-                and (self._inv_x.dot(x) + self._inv_1).min() >= 0.0):
+        # The test reads each coordinate: Python's min would let a NaN
+        # through unless it came first.
+        if self._coordinates_decide and all(
+                c >= 0.0 for c in (self._inv_x.dot(x) + self._inv_1).tolist()):
             return 0.0
         m, m_norm = self.barycentric_matrix, self._m_norm
         rhs = np.concatenate((x, (1.0,)))

@@ -39,7 +39,7 @@ def _line_model(r, dr, terms, count):
     """
     drift = count * sys.float_info.epsilon * terms
     err = float((_norm(r) + _norm(dr) + drift) * drift)
-    return 0.5 * float(dr @ dr), float(r @ dr), err
+    return 0.5 * float(dr.dot(dr)), float(r.dot(dr)), err
 
 
 class DistanceSq:
@@ -51,7 +51,7 @@ class DistanceSq:
 
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.target
-        return 0.5 * float(d @ d)
+        return 0.5 * float(d.dot(d))
 
     def gradient(self, x):
         return np.asarray(x, dtype=float) - self.target
@@ -71,7 +71,9 @@ class LeastSquares:
     G^T G and G^T h are built once, so a gradient G^T G x - G^T h costs n^2
     flops instead of the 2mn of G^T (G x - h), for n^2 stored floats; on a
     wide G (n > 2m) that is more work, not less. value and along keep the
-    residual form, whose rounding along's bound describes.
+    residual form, whose rounding along's bound describes. The products
+    per call use ndarray.dot, which rounds as @ does without matmul's
+    dispatch.
     """
 
     def __init__(self, g, h):
@@ -85,11 +87,11 @@ class LeastSquares:
         self._gt_h = self.g.T @ self.h
 
     def value(self, x):
-        r = self.g @ np.asarray(x, dtype=float) - self.h
-        return 0.5 * float(r @ r)
+        r = self.g.dot(np.asarray(x, dtype=float)) - self.h
+        return 0.5 * float(r.dot(r))
 
     def gradient(self, x):
-        return self._gram @ np.asarray(x, dtype=float) - self._gt_h
+        return self._gram.dot(np.asarray(x, dtype=float)) - self._gt_h
 
     def along(self, x, d):
         """(a, b, err): f(x + t d) - f(x) = a t^2 + b t for every t, and
@@ -98,7 +100,7 @@ class LeastSquares:
         d = np.asarray(d, dtype=float)
         # ||G||_F ||x + t d|| + ||h|| bounds the terms summed into G(x + t d) - h
         terms = self._g_norm * (_norm(x) + _norm(d)) + self._h_norm
-        return _line_model(self.g @ x - self.h, self.g @ d, terms,
+        return _line_model(self.g.dot(x) - self.h, self.g.dot(d), terms,
                            self.g.shape[0] + self.g.shape[1] + 3)
 
 

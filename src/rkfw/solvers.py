@@ -90,7 +90,7 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
     non-finite stage point or step raises ArithmeticError.
     """
     t = cfg.tableau
-    obj, region = problem.objective, problem.region
+    gradient, lmo = problem.objective.gradient, problem.region.lmo
     x = np.asarray(x, dtype=float)
     gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
     xi, gap = [], 0.0
@@ -98,19 +98,20 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
         # a stage with no terms sees x itself; a sum is always a new array,
         # so nothing here writes into x
         xb = x
+        # 1.0 * v is v bit for bit, so a unit coefficient skips the product
         for j, aij in t.stage_terms[i]:
-            xb = xb + aij * xi[j]
+            xb = xb + xi[j] if aij == 1.0 else xb + aij * xi[j]
         if not _all_finite(xb):
             raise ArithmeticError(f"non-finite state at stage {i}, iteration {k}")
-        g = obj.gradient(xb)
-        sd = region.lmo(g).dense()
+        g = gradient(xb)
+        sd = lmo(g).dense()
         if i == 0:
             gap = float(np.vdot(g, xb - sd))
         xi.append(gamma * (sd - xb))
     x_next = x
     # a zero weight is applied too: x + 0.0 * step can turn -0.0 into +0.0
     for w, step in zip(t.weight_floats, xi):
-        x_next = x_next + w * step
+        x_next = x_next + step if w == 1.0 else x_next + w * step
     if not _all_finite(x_next):
         raise ArithmeticError(f"non-finite step at iteration {k}")
     return x_next, gap
@@ -219,7 +220,8 @@ def momentum_step(x, z, v, k: int, c: float, problem):
 
     The running average z of gradients feeds the oracle instead of the
     instantaneous gradient; x and the oracle answer v mix with the same
-    fraction, so x stays a convex combination of feasible points.
+    fraction, so x stays a convex combination of feasible points. A
+    non-finite x_next raises ArithmeticError, as rk_fw_step's does.
     """
     gamma = c / (c + k)
     x = np.asarray(x, dtype=float)
@@ -227,6 +229,8 @@ def momentum_step(x, z, v, k: int, c: float, problem):
     z_next = (1.0 - gamma) * np.asarray(z, dtype=float) + gamma * problem.objective.gradient(y)
     v_next = problem.region.lmo(z_next).dense()
     x_next = (1.0 - gamma) * x + gamma * v_next
+    if not _all_finite(x_next):
+        raise ArithmeticError(f"non-finite step at iteration {k}")
     return x_next, z_next, v_next
 
 

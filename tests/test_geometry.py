@@ -216,22 +216,37 @@ def hull_point(kind, vs, rng):
     return x
 
 
+def perturbed_simplex(n, log_scale, rng):
+    """A perturbed n-simplex, shifted off the origin, at scale 10**log_scale."""
+    simplex = np.vstack([np.zeros(n), np.eye(n)]) - 1.0 / (n + 1)
+    return (simplex + 0.3 * rng.uniform(-1, 1, (n + 1, n))
+            + rng.uniform(-0.5, 0.5, n)) * 10.0 ** log_scale
+
+
+def min_form_membership(hull, x):
+    """VertexHull.membership_violation as it ran when its shortcut tested
+    the coordinates with one .min() >= 0.0, kept as a second reference for
+    the coordinate by coordinate test."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if hull._coordinates_decide and (hull._inv_x.dot(x) + hull._inv_1).min() >= 0.0:
+        return 0.0
+    return full_check(hull, x)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @settings(max_examples=400)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-3.0, 3.0),
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-3.0, 8.0),
        st.sampled_from(["interior", "facet", "vertex", "outside", "nan", "inf", "-inf"]))
 def test_hull_shortcut_agrees_with_the_full_check(seed, n, log_scale, kind):
     rng = np.random.default_rng(seed)
-    # a perturbed simplex, shifted off the origin, at the drawn scale
-    simplex = np.vstack([np.zeros(n), np.eye(n)]) - 1.0 / (n + 1)
-    vs = (simplex + 0.3 * rng.uniform(-1, 1, (n + 1, n))
-          + rng.uniform(-0.5, 0.5, n)) * 10.0 ** log_scale
+    vs = perturbed_simplex(n, log_scale, rng)
     hull = VertexHull(vs)
     x = hull_point(kind, vs, rng)
-    got, want = hull.membership_violation(x), full_check(hull, x)
-    assert type(got) is float and type(want) is float
-    # as bytes: the sign of a zero and a NaN must match too
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    got = hull.membership_violation(x)
+    for want in (full_check(hull, x), min_form_membership(hull, x)):
+        assert type(got) is float and type(want) is float
+        # as bytes: the sign of a zero and a NaN must match too
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_triangle_points_skip_the_solve(monkeypatch):
@@ -241,6 +256,57 @@ def test_triangle_points_skip_the_solve(monkeypatch):
     monkeypatch.setattr(geometry, "_barycentric_violation", None)
     for x in ([0.2, 0.3], [0.0, 0.0], [0.5, 0.5], *TRIANGLE):
         assert hull.membership_violation(x) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_hull_shortcut_reads_every_coordinate():
+    # at (-inf, -inf) this hull's coordinates are (inf, nan, nan): a NaN
+    # after a non-negative coordinate, which Python's min would let through
+    hull = VertexHull([(0.0, 0.0), (2.0, 1.0), (1.0, 2.0)])
+    x = np.array([-np.inf, -np.inf])
+    coords = hull._inv_x.dot(x) + hull._inv_1
+    assert hull._coordinates_decide
+    assert coords[0] == np.inf and np.isnan(coords[1:]).all()
+    assert math.isnan(hull.membership_violation(x))
+
+
+def copied_row_lmo(hull, g):
+    """VertexHull.lmo's point as it was computed before the method answered
+    with a stored row: a matmul, then a copy of the chosen row."""
+    vs = hull.vertices
+    return vs[(vs @ np.asarray(g, dtype=float)).argmin()].copy()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-3.0, 8.0),
+       st.sampled_from(["random", "zero", "tied", "nan", "inf"]))
+def test_hull_lmo_answers_a_read_only_row_as_before(seed, n, log_scale, kind):
+    rng = np.random.default_rng(seed)
+    vs = perturbed_simplex(n, log_scale, rng)
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "zero":  # every vertex ties
+        g[:] = 0.0
+    elif kind == "tied":  # two vertices share the least coordinate i
+        assume(n > 1)
+        i = int(rng.integers(n))
+        vs[rng.choice(n + 1, 2, replace=False), i] = vs[:, i].min()
+        g[:] = 0.0
+        g[i] = 10.0 ** rng.uniform(-3.0, 3.0)
+    elif kind in ("nan", "inf"):
+        g[int(rng.integers(n))] = float(kind) * rng.choice([-1.0, 1.0])
+    hull = VertexHull(vs)
+    want = copied_row_lmo(hull, g)
+    got = hull.lmo(g).dense()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # the answer is a stored row: it cannot be written into, and the hull's
+    # vertices are a copy, so the caller's array stays its own
+    assert not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = 1.0
+    assert hull.vertices.tobytes() == vs.tobytes()
+    assert vs.flags.writeable
 
 
 def test_box_and_l1_membership():

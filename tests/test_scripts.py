@@ -41,3 +41,15 @@ def test_variant_study_counts_value_calls(monkeypatch, capsys):
     # plain and momentum runs evaluate f once per row: 6 rows over 5 iterations
     assert calls[("euler", "plain")] == calls[("euler", "momentum")] == 6 / 5
     assert calls[("euler", "line_search")] > 0
+
+
+def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
+    script = _load(SCRIPTS / "percall.py")
+    monkeypatch.setattr(sys, "argv", ["percall.py", "--procs", "1", "--repeats", "1",
+                                      "--number", "1"])
+    script.main()
+    header, columns, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("us per call")
+    assert len(rows) == len(script.ROWS) * len(script.CALLS)
+    for row in rows:
+        assert float(row.split()[-1]) > 0.0

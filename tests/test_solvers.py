@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rkfw.geometry import Box, DenseAtom, VertexHull
@@ -14,7 +14,8 @@ from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
                            make_triangle)
 from rkfw.solvers import (SolverConfig, _searched_step, fw_gap, momentum_step,
                           rk_fw_step, run)
-from rkfw.tableau import TABLEAU_NAMES, make_tableau, stage_gammas
+from rkfw.tableau import (TABLEAU_NAMES, ButcherTableau, feasibility_certificate,
+                          make_tableau, stage_gammas)
 
 
 def scalar_box_problem(target=0.0):
@@ -124,18 +125,32 @@ def signed_zero_problem():
                            np.array([0.2, -0.0]), None, "signed_zero")
 
 
-@pytest.mark.parametrize("make", [
-    make_triangle,
-    lambda: make_scalar_huber(epsilon=1e-6),
-    lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
-    signed_zero_problem,
-], ids=["triangle", "interval", "sensing", "signed_zero"])
-@pytest.mark.parametrize("name", TABLEAU_NAMES)
-def test_step_is_bit_identical_to_reference(make, name):
+@st.composite
+def certified_tableaus(draw):
+    """A seeded random tableau: strictly lower triangular A with some
+    entries snapped to exactly -1.0, 0.0 or 1.0, offsets the row sums
+    clipped to [0, 1], weights normalized to sum 1 with one of them
+    sometimes 0. Kept when it builds and its certificate at c = 2,
+    delta = 0.5 holds for k = 1..200."""
+    q = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.tril(rng.uniform(-1.0, 1.0, (q, q)), -1)
+    snap = np.tril(rng.random((q, q)) < 0.3, -1)
+    a[snap] = rng.choice([-1.0, 0.0, 1.0], size=int(snap.sum()))
+    w = rng.uniform(0.0, 1.0, q)
+    if q > 1 and rng.random() < 0.3:
+        w[rng.integers(q)] = 0.0
+    try:
+        t = ButcherTableau("random", a, w / w.sum(), np.clip(a.sum(axis=1), 0.0, 1.0))
+    except ValueError:
+        assume(False)
+    assume(feasibility_certificate(t, 2.0, 0.5, 200).all_in_unit_interval)
+    return t
+
+
+def assert_step_matches_reference(p, cfg):
     # compared as bytes: np.array_equal takes -0.0 for +0.0. The stage
     # points are the points the step hands to the gradient
-    p = make()
-    cfg = cfg_for(name, delta=0.5)
     stage_points = logged_calls(p, "gradient")
     x = p.x0
     for k in [*range(12), 100, 1001, 99999]:
@@ -147,6 +162,29 @@ def test_step_is_bit_identical_to_reference(make, name):
         assert gap == want_gap, k
         assert got == [v.tobytes() for v in xbars], k
         x = x_next
+
+
+STEP_PROBLEMS = {
+    "triangle": make_triangle,
+    "interval": lambda: make_scalar_huber(epsilon=1e-6),
+    "sensing": lambda: make_sensing(m=30, n=8, seed=2, alpha=50.0),
+    "signed_zero": signed_zero_problem,
+}
+
+
+@pytest.mark.parametrize("problem", STEP_PROBLEMS)
+@pytest.mark.parametrize("name", TABLEAU_NAMES)
+def test_step_is_bit_identical_to_reference(problem, name):
+    assert_step_matches_reference(STEP_PROBLEMS[problem](), cfg_for(name, delta=0.5))
+
+
+@pytest.mark.parametrize("problem", ["triangle", "interval", "sensing"])
+@given(certified_tableaus())
+def test_random_tableau_step_is_bit_identical_to_reference(problem, t):
+    # the reference multiplies by every entry and weight, so this also
+    # checks that the step's unit coefficients skip only an exact product
+    assert_step_matches_reference(STEP_PROBLEMS[problem](),
+                                  SolverConfig(tableau=t, delta=0.5))
 
 
 @pytest.mark.parametrize("make", [
@@ -683,7 +721,7 @@ def test_finite_states_whose_self_dot_overflows_pass(name):
         assert np.isfinite(x).all()
 
 
-@pytest.mark.parametrize("variant", ["plain", "line_search"])
+@pytest.mark.parametrize("variant", ["plain", "line_search", "momentum"])
 def test_non_finite_step_raises_in_run(variant):
     # the one-stage step is infinite at once; no search may see it
     p = ProblemInstance(DistanceSq(np.array([0.0])), InfOracle(),
