@@ -91,59 +91,16 @@ class L1Ball:
         return _excess(np.abs(x).sum() - self.alpha)
 
 
-def _barycentric_violation(m, m_norm, coeffs, rhs):
-    """How far barycentric coefficients are from certifying membership:
-    the most negative coefficient or the solve's residual. The residual is
-    the solve's normwise backward error, ||m c - rhs|| relative to
-    ||m||_F ||c|| + ||rhs|| (m_norm is ||m||_F), which does not grow with
-    the hull's scale as ||m c - rhs|| does."""
-    r = m @ coeffs - rhs
-    # each norm is np.linalg.norm's, without its overhead
-    recon = math.sqrt(r.dot(r)) / (m_norm * math.sqrt(coeffs.dot(coeffs))
-                                   + math.sqrt(rhs.dot(rhs)))
-    return _excess(max(-coeffs.min(), recon))
-
-
-_U = 2.0 ** -53  # unit roundoff of float64
-
-
-def _coordinates_decide(m, inv) -> bool:
-    """Whether, for this hull, a point x whose coordinates
-    c' = fl(inv[:, :-1] x + inv[:, -1]) are all >= 0 provably gets 0.0 from
-    VertexHull's full check, whose fast path takes c = fl(inv [x; 1]) and
-    returns 0.0 once max(-min(c), residual) < 0.5e-12.
-
-    With k = n + 1, u = _U and gamma = k u / (1 - k u): c and c' are two
-    roundings of q = inv [x; 1], each within gamma (|inv| |[x; 1]|)_i of it
-    in any summation order, fused or not. Let p be x's exact barycentric
-    coordinates: [x; 1] = m p and sum(p) = 1. Then |[x; 1]| <= |m| |p| and
-    q - p = (inv m - I) p, so c and c' both lie within eps ||p||_1 of p,
-        eps = 2 gamma g + f,
-    where g and f are the largest entries of |inv| |m| and of the computed
-    |inv m - I|: one gamma g bounds each product's rounding, the other that
-    of the computed inv m. From c' >= 0, p >= -eps ||p||_1, so p's negative
-    entries sum to at most k eps ||p||_1, and ||p||_1 = 1 + 2 (that sum)
-    <= 2 once k eps <= 1/4. Then c >= -4 eps, and the residual is at most
-    ||c - p|| / ||c|| + gamma <= 4 k eps + eps, as
-    ||c|| >= sum(c) / sqrt(k) >= 1 / (2 sqrt(k)). Both are below 0.5e-12
-    when 8 k eps is, so the shortcut's margin is 0: it needs only that no
-    coordinate of c' is negative.
-    """
-    k = len(m)
-    gamma = k * _U / (1 - k * _U)
-    g = (np.abs(inv) @ np.abs(m)).max()
-    eps = 2 * gamma * g + np.abs(inv @ m - np.eye(k)).max()
-    return bool(8 * k * eps < 0.5e-12)
-
-
 class VertexHull:
     """Convex hull of an explicit vertex list.
 
-    Membership is a barycentric solve [vertices^T; 1^T] c = [x; 1], so the
-    hull must be a simplex: n+1 affinely independent vertices in n
-    dimensions, checked when built. The system and its inverse are built
-    once, as barycentric_matrix and barycentric_inverse, and so are the
-    inverse's split columns, which give c without building [x; 1].
+    The hull must be a simplex: n+1 affinely independent vertices in n
+    dimensions, checked when built. Then a point's barycentric coordinates,
+    the solution c of [vertices^T; 1^T] c = [x; 1], are unique, and the
+    system's inverse is built once as barycentric_inverse, with its split
+    columns, which give c without building [x; 1]. Membership reports the
+    most negative coordinate, snapped to 0.0 below 1e-12; no residual
+    enters, so the answer does not grow with the hull's scale.
     vertices is a read-only copy, and lmo answers with its rows.
     """
 
@@ -161,12 +118,9 @@ class VertexHull:
         vs.flags.writeable = False  # before the row views, which inherit it
         self.vertices = vs
         self._rows = tuple(vs)
-        self.barycentric_matrix = m
         inv = np.linalg.solve(m, np.eye(len(vs)))
         self.barycentric_inverse = inv
         self._inv_x, self._inv_1 = inv[:, :-1], inv[:, -1]
-        self._m_norm = math.sqrt((m * m).sum())
-        self._coordinates_decide = _coordinates_decide(m, inv)
 
     def lmo(self, g) -> DenseAtom:
         # ndarray.dot rounds as @ does, without matmul's dispatch
@@ -174,28 +128,15 @@ class VertexHull:
 
     def membership_violation(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
-        # No negative coordinate: the checks below return 0.0, as
-        # _coordinates_decide proves. A NaN coordinate (from a NaN entry)
-        # fails the test, and an infinite entry gives a -inf or NaN one.
-        # The test reads each coordinate: Python's min would let a NaN
+        c = self._inv_x.dot(x) + self._inv_1
+        # The test reads each coordinate: a NaN one (from a NaN entry, or
+        # from an infinite one) fails it, where Python's min would let it
         # through unless it came first.
-        if self._coordinates_decide and all(
-                c >= 0.0 for c in (self._inv_x.dot(x) + self._inv_1).tolist()):
+        if all(ci >= 0.0 for ci in c.tolist()):
             return 0.0
-        m, m_norm = self.barycentric_matrix, self._m_norm
-        rhs = np.concatenate((x, (1.0,)))
-        # The inverse's coefficients differ from the least-squares ones by
-        # rounding (about cond(m) eps |c|), so a point this far below the
-        # snap threshold is interior under both. Any other point is
-        # reported from the least-squares solution, digit for digit.
-        fast = _barycentric_violation(m, m_norm, self.barycentric_inverse @ rhs, rhs)
-        if fast < 0.5e-12:
-            return 0.0
-        if math.isnan(fast):  # a point with a NaN entry
-            return fast
-        v = _barycentric_violation(m, m_norm, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
-        # snap solver noise to a clean zero for interior points
-        return 0.0 if v < 1e-12 else v
+        worst = -float(c.min())  # NaN for a NaN coordinate
+        # snap rounding noise to a clean zero for boundary points
+        return 0.0 if worst < 1e-12 else worst
 
 
 class NuclearBall:

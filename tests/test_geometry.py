@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,14 +104,81 @@ def test_hull_rejects_degenerate_at_construction():
         VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
 
 
-def lstsq_membership(vertices, x):
-    """Violation from a least-squares barycentric solve, snapped to 0
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def exact_coordinates(vertices, x):
+    """x's barycentric coordinates in the simplex vertices, in exact
+    rationals: the solution p of [vertices^T; 1^T] p = [x; 1], by
+    Gauss-Jordan elimination over Fractions."""
+    k = len(vertices)
+    rows = [[Fraction(float(v[i])) for v in vertices] + [Fraction(float(x[i]))]
+            for i in range(k - 1)]
+    rows.append([Fraction(1)] * (k + 1))
+    for col in range(k):
+        piv = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+def exact_membership(vertices, x):
+    """The violation from x's exact coordinates: -min p, snapped to 0.0
     below 1e-12."""
-    m = np.vstack([vertices.T, np.ones(len(vertices))])
-    rhs = np.append(x, 1.0)
-    coeffs = np.linalg.lstsq(m, rhs, rcond=None)[0]
-    v = max(0.0, -float(np.min(coeffs)), float(np.linalg.norm(m @ coeffs - rhs)))
-    return 0.0 if v < 1e-12 else v
+    worst = -min(exact_coordinates(vertices, x))
+    return 0.0 if worst < 1e-12 else float(worst)
+
+
+def rounding_bound(hull):
+    """eps such that every computed coordinate c = fl(inv[:, :-1] x +
+    inv[:, -1]) lies within eps ||p||_1 of x's exact coordinate p.
+
+    With k = n + 1 and gamma = k u / (1 - k u): c is a rounding of
+    q = inv [x; 1], within gamma (|inv| |[x; 1]|)_i of it in any summation
+    order, fused or not. As [x; 1] = m p, |[x; 1]| <= |m| |p|, and
+    q - p = (inv m - I) p. So |c - p| <= eps ||p||_1 with
+        eps = 2 gamma g + f,
+    where g and f are the largest entries of |inv| |m| and of the computed
+    |inv m - I|: one gamma g bounds the rounding of each product, the other
+    that of the computed inv m."""
+    inv = hull.barycentric_inverse
+    k = len(inv)
+    m = np.vstack([hull.vertices.T, np.ones(k)])
+    gamma = k * _U / (1 - k * _U)
+    g = (np.abs(inv) @ np.abs(m)).max()
+    return 2 * gamma * g + np.abs(inv @ m - np.eye(k)).max()
+
+
+def assert_matches_exact(hull, x):
+    """hull.membership_violation(x) against x's exact coordinates: +0.0
+    where they are all >= 0 and, for a point outside, within the rounding
+    bound of -min p; either answer near the 1e-12 snap. A NaN entry gives
+    NaN, and an infinite one never 0.0. Returns the answer."""
+    got = hull.membership_violation(x)
+    assert type(got) is float
+    if np.isnan(x).any():
+        assert math.isnan(got)
+        return got
+    if np.isinf(x).any():
+        assert math.isnan(got) or got == math.inf
+        return got
+    p = exact_coordinates(hull.vertices, x)
+    worst = max(Fraction(0), -min(p))
+    tol = Fraction(rounding_bound(hull)) * sum(abs(pi) for pi in p)
+    near = abs(Fraction(got) - worst) <= tol
+    plus_zero = got == 0.0 and not np.signbit(got)
+    if min(p) >= 0:
+        assert tol < 1e-12  # the bound admits the snap: the answer is exact
+    if worst + tol < 1e-12:
+        assert plus_zero
+    elif worst - tol >= 1e-12:
+        assert near
+    else:
+        assert near or plus_zero
+    return got
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -121,40 +189,23 @@ def test_hull_membership_matches_lstsq(seed, n):
     hull = VertexHull(vs)
     # strictly interior: every barycentric coordinate >= 0.1 / 1.5
     inside = (0.1 + rng.dirichlet(np.ones(n + 1))) / (1.0 + 0.1 * (n + 1))
-    assert hull.membership_violation(inside @ vs) == 0.0 == lstsq_membership(vs, inside @ vs)
+    assert hull.membership_violation(inside @ vs) == 0.0 == exact_membership(vs, inside @ vs)
     assert not np.signbit(hull.membership_violation(inside @ vs))
     j = int(rng.integers(n + 1))
-    # on the facet opposite vertex j: both solves snap to 0
+    # on the facet opposite vertex j: the computed coordinates snap to 0
     facet = inside.copy()
     facet[(j + 1) % (n + 1)] += facet[j]
     facet[j] = 0.0
-    assert hull.membership_violation(facet @ vs) == lstsq_membership(vs, facet @ vs) == 0.0
+    assert hull.membership_violation(facet @ vs) == 0.0
+    assert_matches_exact(hull, facet @ vs)
     # outside: coordinate j at most -0.4, the coordinates still sum to 1
     shift = rng.uniform(1.5, 3.0)
     outside = inside.copy()
     outside[j] -= shift
     outside[(j + 1) % (n + 1)] += shift
     x = outside @ vs
-    want = lstsq_membership(vs, x)
-    assert want >= 0.4
-    assert hull.membership_violation(x) == want
-
-
-def full_check(hull, x):
-    """VertexHull.membership_violation without its coordinate shortcut: the
-    inverse's fast path, then lstsq, as the method ran before the shortcut.
-    The reference the shortcut must agree with, byte for byte."""
-    m = hull.barycentric_matrix
-    rhs = np.concatenate((np.asarray(x, dtype=float).reshape(-1), (1.0,)))
-    fast = geometry._barycentric_violation(
-        m, hull._m_norm, hull.barycentric_inverse @ rhs, rhs)
-    if fast < 0.5e-12:
-        return 0.0
-    if math.isnan(fast):
-        return fast
-    v = geometry._barycentric_violation(
-        m, hull._m_norm, np.linalg.lstsq(m, rhs, rcond=None)[0], rhs)
-    return 0.0 if v < 1e-12 else v
+    assert exact_membership(vs, x) >= 0.4
+    assert assert_matches_exact(hull, x) >= 0.4
 
 
 # the origin lies on TRIANGLE's bottom edge, and deep inside this one
@@ -165,8 +216,8 @@ AROUND_ORIGIN = [(-1.0, -1.0), (1.0, -0.7), (0.1, 1.0)]
 @pytest.mark.parametrize("base", [TRIANGLE, AROUND_ORIGIN],
                          ids=["triangle", "around-origin"])
 def test_hull_membership_is_scale_free(base, scale):
-    # the residual is a backward error: an absolute one grows with the
-    # scale, and at 1e5 would report most interior points as outside
+    # coordinates carry no unit: neither the interior test nor an outside
+    # point's answer may drift as the hull grows
     vs = np.array(base) * scale
     hull = VertexHull(vs)
     rng = np.random.default_rng(0)
@@ -182,16 +233,15 @@ def test_hull_membership_is_scale_free(base, scale):
         facet[:, j] = 0.0
         points += [*(facet @ vs), vs[j]]
     for x in points:
-        assert full_check(hull, x) == 0.0
         assert hull.membership_violation(x) == 0.0
-    # outside by 1e-6 in barycentric terms, across each facet; lstsq's
-    # coefficients are off by about cond(m) u, and cond(m) grows as the scale
+    # outside by 1e-6 in barycentric terms, across each facet: rounding x
+    # moves its coordinates by about u, at every scale
     for j in range(3):
         c = np.full(3, 0.5)
         c[j] = -1e-6
         c[(j + 1) % 3] += 1e-6
-        for got in (full_check(hull, c @ vs), hull.membership_violation(c @ vs)):
-            assert got == pytest.approx(1e-6, rel=0, abs=1e-15 + 2e-16 * scale)
+        got = assert_matches_exact(hull, c @ vs)
+        assert got == pytest.approx(1e-6, rel=0, abs=5e-16)
 
 
 def hull_point(kind, vs, rng):
@@ -223,16 +273,6 @@ def perturbed_simplex(n, log_scale, rng):
             + rng.uniform(-0.5, 0.5, n)) * 10.0 ** log_scale
 
 
-def min_form_membership(hull, x):
-    """VertexHull.membership_violation as it ran when its shortcut tested
-    the coordinates with one .min() >= 0.0, kept as a second reference for
-    the coordinate by coordinate test."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if hull._coordinates_decide and (hull._inv_x.dot(x) + hull._inv_1).min() >= 0.0:
-        return 0.0
-    return full_check(hull, x)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @settings(max_examples=400)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-3.0, 8.0),
@@ -241,19 +281,15 @@ def test_hull_shortcut_agrees_with_the_full_check(seed, n, log_scale, kind):
     rng = np.random.default_rng(seed)
     vs = perturbed_simplex(n, log_scale, rng)
     hull = VertexHull(vs)
-    x = hull_point(kind, vs, rng)
-    got = hull.membership_violation(x)
-    for want in (full_check(hull, x), min_form_membership(hull, x)):
-        assert type(got) is float and type(want) is float
-        # as bytes: the sign of a zero and a NaN must match too
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert_matches_exact(hull, hull_point(kind, vs, rng))
 
 
 def test_triangle_points_skip_the_solve(monkeypatch):
-    # the rounding bound admits the triangle: its interior points, edge
-    # points and vertices are settled by their coordinates alone
+    # once built, the hull answers from its stored inverse: its interior
+    # points, edge points and vertices need no solve
     hull = VertexHull(TRIANGLE)
-    monkeypatch.setattr(geometry, "_barycentric_violation", None)
+    monkeypatch.setattr(np.linalg, "solve", None)
+    monkeypatch.setattr(np.linalg, "lstsq", None)
     for x in ([0.2, 0.3], [0.0, 0.0], [0.5, 0.5], *TRIANGLE):
         assert hull.membership_violation(x) == 0.0
 
@@ -264,8 +300,8 @@ def test_hull_shortcut_reads_every_coordinate():
     # after a non-negative coordinate, which Python's min would let through
     hull = VertexHull([(0.0, 0.0), (2.0, 1.0), (1.0, 2.0)])
     x = np.array([-np.inf, -np.inf])
-    coords = hull._inv_x.dot(x) + hull._inv_1
-    assert hull._coordinates_decide
+    inv = hull.barycentric_inverse
+    coords = inv[:, :-1].dot(x) + inv[:, -1]
     assert coords[0] == np.inf and np.isnan(coords[1:]).all()
     assert math.isnan(hull.membership_violation(x))
 
