@@ -8,10 +8,13 @@ that row's point.
 
 Each measurement runs in fresh processes, one after another: every
 process times each call `--number` times per repeat, taking the calls in
-turn within a repeat, and the table reports the minimum over all repeats
-of all processes. With several `--src` trees (for example the parent's
-`src/` and this checkout's), their processes alternate, so a drift of the
-host's speed reaches every tree alike.
+turn within a repeat. The table reports, per tree, the minimum over all
+repeats of all processes and, beside it, the largest of the processes' own
+minima: their spread is what a drift of the host's speed alone moves a
+reading by. With several `--src` trees (for example the parent's `src/` and
+this checkout's), their processes alternate, so such a drift reaches every
+tree alike, and a gap between trees smaller than that spread is not shown
+to be real.
 
     python scripts/percall.py --src ../parent/src --src src
 """
@@ -87,19 +90,22 @@ def main(argv=None):
         print(json.dumps(measure(args.repeats, args.number)))
         return
     srcs = args.src or [DEFAULT_SRC]
-    best = [{row: {} for row in ROWS} for _ in srcs]
+    # per tree, row and call: each process's minimum
+    mins = [{row: {call: [] for call in CALLS} for row in ROWS} for _ in srcs]
     for _ in range(args.procs):
-        for side, src in zip(best, srcs):
+        for side, src in zip(mins, srcs):
             for row, calls in _child(src, args.repeats, args.number).items():
                 for call, us in calls.items():
-                    side[row][call] = min(us, side[row].get(call, us))
+                    side[row][call].append(us)
     print(f"us per call, min of {args.repeats} repeats x {args.number} calls "
-          f"in each of {args.procs} processes per tree")
-    print(f"{'row':22s} {'call':22s}" + "".join(f" {str(s)[-24:]:>24s}" for s in srcs))
+          f"in each of {args.procs} processes per tree, and the largest process min")
+    print(f"{'row':22s} {'call':22s}"
+          + "".join(f" {str(s)[-24:]:>24s} {'max proc':>9s}" for s in srcs))
     for row in ROWS:
         for call in CALLS:
             print(f"{row:22s} {call:22s}"
-                  + "".join(f" {side[row][call]:24.3f}" for side in best))
+                  + "".join(f" {min(side[row][call]):24.3f} {max(side[row][call]):9.3f}"
+                            for side in mins))
 
 
 if __name__ == "__main__":

@@ -1,27 +1,21 @@
 """Continuous-time references and discretization error measurement.
 
 The schedule-driven flow x'(t) = gamma(t) (s(t) - x(t)), gamma(t) = c/(c+t),
-has no general closed form, so references are built two ways: a fine-step
-four-stage run (numeric, any problem) and the exact solution available for
-the scalar smoothed-|x| problem (cross-checks the numeric route).
+has no general closed form. The numeric reference, for any problem, is the
+Trajectory of a fine-step four-stage run. The scalar smoothed-|x| problem
+also has an exact solution, huber_flow_exact, evaluated at the times
+directly (it cross-checks the numeric route).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, Trajectory, run
 from .tableau import make_tableau
 
 __all__ = [
-    "flow_bound", "huber_flow_exact", "absorption_time", "FlowReference",
-    "reference_trajectory", "closed_form_reference", "total_accumulation_error",
+    "huber_flow_exact", "absorption_time", "reference_trajectory",
+    "total_accumulation_error",
 ]
-
-
-def flow_bound(c: float, t: float) -> float:
-    """Normalized objective-error bound (c/(c+t))^c for the flow."""
-    return (c / (c + t)) ** c
 
 
 def huber_flow_exact(u0: float, c: float, t) -> float:
@@ -39,26 +33,6 @@ def huber_flow_exact(u0: float, c: float, t) -> float:
 def absorption_time(u0: float, c: float) -> float:
     """Time at which huber_flow_exact first hits 0."""
     return c * ((u0 + 1.0) ** (1.0 / c) - 1.0)
-
-
-@dataclass
-class FlowReference:
-    delta_ref: float
-    times: np.ndarray
-    states: np.ndarray  # one row per sample
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-
-    def interpolate(self, t):
-        """Linear interpolation per coordinate at times t (within range)."""
-        t = np.asarray(t, dtype=float)
-        if t.min() < self.times[0] - 1e-12 or t.max() > self.times[-1] + 1e-12:
-            raise ValueError("query times outside the reference span")
-        cols = [np.interp(t, self.times, self.states[:, d])
-                for d in range(self.states.shape[1])]
-        return np.stack(cols, axis=1)
 
 
 def reference_steps(delta_ref: float, t_end: float) -> int:
@@ -103,36 +77,31 @@ def check_reference(delta_ref: float, delta: float, iters: int) -> int:
     return n_steps
 
 
-def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> FlowReference:
-    """Numeric flow reference: four-stage run at a fine step, every sample kept."""
-    n_steps = reference_steps(delta_ref, t_end)
+def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> Trajectory:
+    """Numeric flow reference: the Trajectory of a four-stage run at step
+    delta_ref over [0, t_end], every iterate recorded."""
     cfg = SolverConfig(tableau=make_tableau("rk44"), c=c, delta=delta_ref,
-                       max_iters=n_steps, record_iterates=True)
-    traj = run(problem, cfg)
-    return FlowReference(delta_ref, traj.ts, traj.iterates.reshape(n_steps + 1, -1))
+                       max_iters=reference_steps(delta_ref, t_end),
+                       record_iterates=True)
+    return run(problem, cfg)
 
 
-def closed_form_reference(u0: float, c: float, delta_ref: float, t_end: float) -> FlowReference:
-    """Exact scalar reference sampled on a uniform grid."""
-    n_steps = reference_steps(delta_ref, t_end)
-    times = np.arange(n_steps + 1) * delta_ref
-    states = huber_flow_exact(u0, c, times).reshape(-1, 1)
-    return FlowReference(delta_ref, times, states)
+def total_accumulation_error(traj, ref):
+    """Per-sample distance between a trajectory and a flow reference.
 
-
-def total_accumulation_error(traj, ref: FlowReference):
-    """Per-sample distance between a trajectory and the flow reference.
-
-    Returns a list of (t, error) at every trajectory sample time. The
-    reference must be at least 10x finer than the trajectory step, unless
-    its sample grid already contains every trajectory time exactly (which
-    covers comparing a run against itself).
+    Both are Trajectory records with iterates. Returns a list of (t, error)
+    at every trajectory sample time, the reference interpolated linearly per
+    coordinate. The reference must be at least 10x finer than the trajectory
+    step, unless its sample grid already contains every trajectory time
+    exactly (which covers comparing a run against itself).
     """
-    if traj.iterates is None:
-        raise ValueError("trajectory has no recorded iterates")
+    for name, arg in (("trajectory", traj), ("reference", ref)):
+        if arg.iterates is None:
+            raise ValueError(f"{name} has no recorded iterates")
     times = traj.ts
-    _check_grid(times, traj.delta, ref.times, ref.delta_ref)
+    _check_grid(times, traj.delta, ref.ts, ref.delta)
     states = traj.iterates.reshape(len(times), -1)
-    ref_states = ref.interpolate(times)
-    errs = np.linalg.norm(states - ref_states, axis=1)
+    ref_states = ref.iterates.reshape(len(ref.ts), -1)
+    ref_at = np.stack([np.interp(times, ref.ts, col) for col in ref_states.T], axis=1)
+    errs = np.linalg.norm(states - ref_at, axis=1)
     return list(zip(times.tolist(), errs.tolist()))

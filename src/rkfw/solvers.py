@@ -55,6 +55,13 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
+    """The record of one run: one row per visited point, k = 0..max_iters.
+
+    Row k sits at time ts[k] = k * delta. `iterates` is set only when the
+    run recorded them. A flow reference is also a Trajectory: the one
+    flow.reference_trajectory returns.
+    """
+
     ks: np.ndarray
     ts: np.ndarray
     fs: np.ndarray

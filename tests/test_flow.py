@@ -5,24 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkfw.flow import (FlowReference, _check_grid, absorption_time, check_reference,
-                       closed_form_reference, flow_bound, huber_flow_exact,
-                       reference_trajectory, total_accumulation_error)
+from rkfw.flow import (_check_grid, absorption_time, check_reference, huber_flow_exact,
+                       reference_steps, reference_trajectory, total_accumulation_error)
 from rkfw.problems import make_scalar_huber, make_triangle
-from rkfw.solvers import SolverConfig, run
+from rkfw.solvers import SolverConfig, Trajectory, run
 from rkfw.tableau import make_tableau
 
 
-def test_flow_bound_frozen():
-    assert flow_bound(2.0, 0.0) == 1.0
-    assert flow_bound(1.0, 1.0) == pytest.approx(0.5)
-    assert flow_bound(2.0, 8.0) == pytest.approx(0.04)
-
-
-@pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
-def test_flow_bound_improves_with_c_for_large_t(c):
-    for t in (10.0, 50.0, 200.0):
-        assert flow_bound(c + 1.0, t) < flow_bound(c, t)
+def _record(delta, iterates):
+    """A Trajectory of the given iterates, row k at t = k * delta as run records it."""
+    ks = np.arange(len(iterates))
+    zeros = np.zeros(len(ks))
+    return Trajectory(ks=ks, ts=ks * delta, fs=zeros, gaps=zeros, step_norms=zeros,
+                      violations=zeros, wall_ns=ks, delta=delta, iterates=iterates)
 
 
 def test_huber_flow_exact_frozen():
@@ -52,51 +47,44 @@ def test_exact_flow_satisfies_ode():
 def test_numeric_reference_matches_closed_form():
     p = make_scalar_huber(0.01)
     num = reference_trajectory(p, c=2.0, delta_ref=0.002, t_end=0.8)
-    exact = huber_flow_exact(1.0, 2.0, num.times)
-    assert np.max(np.abs(num.states[:, 0] - exact)) < 1e-3
+    exact = huber_flow_exact(1.0, 2.0, num.ts)
+    assert np.max(np.abs(num.iterates[:, 0] - exact)) < 1e-3
 
 
-def test_closed_form_reference_interpolation():
-    ref = closed_form_reference(1.0, 2.0, 0.001, 0.8)
-    ts = np.array([0.1234, 0.4567, 0.777])
-    got = ref.interpolate(ts)[:, 0]
-    assert got == pytest.approx(huber_flow_exact(1.0, 2.0, ts), abs=1e-5)
+def test_tae_interpolates_between_reference_samples():
+    # a reference affine in t is reproduced exactly by linear interpolation,
+    # at trajectory times that fall between its samples
+    delta, iters, delta_ref = 0.1, 20, 0.0029
+    ref_ts = np.arange(reference_steps(delta_ref, iters * delta) + 1) * delta_ref
+    a, b = np.array([0.3, -0.2]), np.array([0.5, 1.5])
+    ref = _record(delta_ref, a + ref_ts[:, None] * b)
+    traj = _record(delta, np.random.default_rng(0).normal(size=(iters + 1, 2)))
+    assert not np.isin(traj.ts[1:], ref.ts).any()
+    got = total_accumulation_error(traj, ref)
+    want = np.linalg.norm(traj.iterates - (a + traj.ts[:, None] * b), axis=1)
+    assert [t for t, _ in got] == traj.ts.tolist()
+    np.testing.assert_allclose([e for _, e in got], want, rtol=1e-13, atol=1e-15)
 
 
 def test_reference_needs_enough_samples():
     with pytest.raises(ValueError, match="at least 10 samples"):
         reference_trajectory(make_scalar_huber(0.1), 2.0, 0.2, 1.0)
-    with pytest.raises(ValueError, match="at least 10 samples"):
-        closed_form_reference(1.0, 2.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("delta_ref", [-1.0, 0.0, float("nan")])
 def test_reference_rejects_nonpositive_step(delta_ref):
     with pytest.raises(ValueError, match="delta_ref must be positive"):
         reference_trajectory(make_scalar_huber(0.1), 2.0, delta_ref, 1.0)
-    with pytest.raises(ValueError, match="delta_ref must be positive"):
-        closed_form_reference(1.0, 2.0, delta_ref, 1.0)
 
 
 def test_reference_objective_decreases_on_triangle():
     p = make_triangle()
     ref = reference_trajectory(p, c=2.0, delta_ref=0.01, t_end=2.0)
-    vals = np.array([p.objective.value(s) for s in ref.states])
+    vals = np.array([p.objective.value(s) for s in ref.iterates])
     # monotone up to discretization error: near the optimum the vertex
     # oracle flips direction and the finite step wiggles at the 1e-6 scale
     assert np.all(np.diff(vals) <= 1e-5)
     assert vals[-1] < 0.01 * vals[0]
-
-
-def test_flow_reference_validates_times():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        FlowReference(0.1, np.array([0.0, 0.1, 0.1]), np.zeros((3, 1)))
-
-
-def test_interpolate_rejects_out_of_span():
-    ref = closed_form_reference(1.0, 2.0, 0.01, 0.5)
-    with pytest.raises(ValueError, match="outside the reference span"):
-        ref.interpolate(np.array([0.9]))
 
 
 def test_tae_self_comparison_is_zero():
@@ -134,13 +122,15 @@ def test_tae_requires_iterates():
     traj = run(p, SolverConfig(tableau=make_tableau("euler"), delta=0.1,
                                max_iters=10))
     ref = reference_trajectory(p, c=2.0, delta_ref=0.001, t_end=1.0)
-    with pytest.raises(ValueError, match="iterates"):
+    with pytest.raises(ValueError, match="^trajectory has no recorded iterates$"):
         total_accumulation_error(traj, ref)
+    with pytest.raises(ValueError, match="^reference has no recorded iterates$"):
+        total_accumulation_error(ref, traj)
 
 
 def test_tae_decreases_with_delta_on_scalar():
     p = make_scalar_huber(0.01)
-    ref = closed_form_reference(1.0, 2.0, 0.0005, 0.8)
+    ref = reference_trajectory(p, c=2.0, delta_ref=0.0005, t_end=0.8)
     worst = {}
     for delta in (0.1, 0.05):
         cfg = SolverConfig(tableau=make_tableau("euler"), c=2.0, delta=delta,
@@ -161,10 +151,12 @@ def _raised(fn):
     return None
 
 
-def test_reference_times_are_the_closed_form_grid():
-    numeric = reference_trajectory(make_scalar_huber(0.1), 2.0, 0.03, 1.2)
-    exact = closed_form_reference(1.0, 2.0, 0.03, 1.2)
-    assert numeric.times.tobytes() == exact.times.tobytes()
+def test_reference_times_are_the_checked_grid():
+    # the grid check_reference decides on is the one the reference run records
+    delta_ref, delta, iters = 0.03, 0.3, 4
+    n = check_reference(delta_ref, delta, iters)
+    ref = reference_trajectory(make_scalar_huber(0.1), 2.0, delta_ref, iters * delta)
+    assert ref.ts.tobytes() == (np.arange(n + 1) * delta_ref).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,7 +170,9 @@ def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref
                        max_iters=iters, record_iterates=True)
 
     def measure():
-        ref = closed_form_reference(1.0, 2.0, delta_ref, iters * delta)
+        # the exact flow on the grid reference_trajectory would record
+        times = np.arange(reference_steps(delta_ref, iters * delta) + 1) * delta_ref
+        ref = _record(delta_ref, huber_flow_exact(1.0, 2.0, times)[:, None])
         total_accumulation_error(run(p, cfg), ref)
 
     assert _raised(lambda: check_reference(delta_ref, delta, iters)) == _raised(measure)

@@ -45,11 +45,14 @@ def test_variant_study_counts_value_calls(monkeypatch, capsys):
 
 def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
     script = _load(SCRIPTS / "percall.py")
-    monkeypatch.setattr(sys, "argv", ["percall.py", "--procs", "1", "--repeats", "1",
+    monkeypatch.setattr(sys, "argv", ["percall.py", "--procs", "2", "--repeats", "1",
                                       "--number", "1"])
     script.main()
     header, columns, *rows = capsys.readouterr().out.splitlines()
     assert header.startswith("us per call")
+    assert columns.endswith("max proc")
     assert len(rows) == len(script.ROWS) * len(script.CALLS)
     for row in rows:
-        assert float(row.split()[-1]) > 0.0
+        # the tree's minimum over both processes, then the larger process minimum
+        lowest, largest = map(float, row.split()[-2:])
+        assert 0.0 < lowest <= largest
