@@ -2,8 +2,6 @@
 and the per-step decrease bound check.
 """
 
-import math
-
 import numpy as np
 
 from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
@@ -12,6 +10,10 @@ __all__ = [
     "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
     "decrease_bound_d4", "decrease_bound_check",
 ]
+
+
+# Most floats one pass of zigzag_energy's block arithmetic holds in one array.
+_PASS_FLOATS = 8192
 
 
 def zigzag_energy(iterates, window: int) -> np.ndarray:
@@ -23,6 +25,15 @@ def zigzag_energy(iterates, window: int) -> np.ndarray:
     direction churn that produced no net progress. Blocks are disjoint, a
     trailing partial block is dropped, and a block with no net displacement
     (below 1e-14) keeps its steps unprojected rather than dividing by zero.
+
+    Blocks are handled in passes of as many as fit in `_PASS_FLOATS` floats
+    (at least one), so each temporary holds at most 8192 floats (64 KiB),
+    or one block's W x n when a block alone is larger; memory does not grow
+    with the number of iterates. Every product (|dbar|^2, dbar.d, |resid|^2)
+    is one BLAS ddot per pair, as `ndarray.dot` makes it, through a stacked
+    (1, n) @ (n, 1) matmul, and each block's step norms are added left to
+    right from 0.0, so the energies are bit-identical to a per-step loop.
+    Non-finite iterates give nan or inf energies and no RuntimeWarning.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -30,23 +41,36 @@ def zigzag_energy(iterates, window: int) -> np.ndarray:
     if len(pts) < window + 1:
         raise ValueError(f"need at least {window + 1} iterates, got {len(pts)}")
     pts = pts.reshape(len(pts), -1)
-    n_steps = len(pts) - 1
-    energies = []
-    for k0 in range(0, n_steps - window + 1, window):
-        dbar = pts[k0 + window] - pts[k0]
-        nrm2 = float(dbar @ dbar)
-        degenerate = np.sqrt(nrm2) < 1e-14
-        total = 0.0
-        for i in range(k0 + 1, k0 + window):
-            d = pts[i + 1] - pts[i]
-            if degenerate:
-                resid = d
-            else:
-                # Q d = d - dbar (dbar.d)/|dbar|^2, applied via inner products
-                resid = d - dbar * (float(dbar @ d) / nrm2)
-            total += math.sqrt(resid.dot(resid))  # np.linalg.norm, without its overhead
-        energies.append(total / (window - 1))
-    return np.asarray(energies)
+    n = pts.shape[1]
+    # Row pitch: every vector handed to ddot starts 16-byte aligned, as the
+    # fresh array of a per-step product does; some ddot kernels (Prescott)
+    # add in another order when the second vector is not.
+    m = n + n % 2
+    n_blocks = (len(pts) - 1) // window
+    per_pass = max(1, _PASS_FLOATS // (window * max(m, 1)))
+    energies = np.empty(n_blocks)
+    with np.errstate(all="ignore"):
+        for b0 in range(0, n_blocks, per_pass):
+            b = min(per_pass, n_blocks - b0)
+            rows = pts[b0 * window:(b0 + b) * window + 1]
+            dbar = np.empty((b, m))[:, :n]
+            np.subtract(rows[window::window], rows[:-window:window], out=dbar)
+            # np.diff along each block's x(k+1)..x(k+W): its interior steps
+            span = rows[1:].reshape(b, window, n)
+            d = np.empty((b, window - 1, m))[..., :n]
+            np.subtract(span[:, 1:], span[:, :-1], out=d)
+            nrm2 = dbar[:, None, :] @ dbar[:, :, None]  # (b, 1, 1)
+            proj = (dbar[:, None, None, :] @ d[..., None])[..., 0]  # (b, W-1, 1)
+            # Q d = d - dbar (dbar.d)/|dbar|^2; a degenerate block keeps d
+            ratio = np.divide(proj, nrm2, out=np.zeros_like(proj),
+                              where=~(np.sqrt(nrm2) < 1e-14))
+            resid = np.empty((b, window - 1, m))[..., :n]
+            np.multiply(dbar[:, None, :], ratio, out=resid)
+            np.subtract(d, resid, out=resid)
+            norms = np.sqrt((resid[..., None, :] @ resid[..., None])[..., 0, 0])
+            total = np.cumsum(norms, axis=1)[:, -1]  # left to right from 0.0
+            energies[b0:b0 + b] = total / (window - 1)
+    return energies
 
 
 def sup_envelope_all(series) -> np.ndarray:

@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkfw import diagnostics
 from rkfw.diagnostics import (decrease_bound_check, decrease_bound_d4,
                               fit_rate_slope, sup_envelope_all, zigzag_energy)
 from rkfw.harness import zigzag_csv
@@ -83,6 +89,110 @@ def test_zigzag_list_and_stacked_array_agree_bitwise():
         b = zigzag_energy(rows, w)
         assert np.array_equal(a, b)
         assert a.mean() == b.mean()
+
+
+def stepwise_zigzag(iterates, window: int) -> np.ndarray:
+    """zigzag_energy as a loop over blocks and steps, one product per pair;
+    the batched version must reproduce it byte for byte."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    pts = np.asarray(iterates, dtype=float)
+    if len(pts) < window + 1:
+        raise ValueError(f"need at least {window + 1} iterates, got {len(pts)}")
+    pts = pts.reshape(len(pts), -1)
+    n_steps = len(pts) - 1
+    energies = []
+    for k0 in range(0, n_steps - window + 1, window):
+        dbar = pts[k0 + window] - pts[k0]
+        nrm2 = float(dbar @ dbar)
+        degenerate = np.sqrt(nrm2) < 1e-14
+        total = 0.0
+        for i in range(k0 + 1, k0 + window):
+            d = pts[i + 1] - pts[i]
+            if degenerate:
+                resid = d
+            else:
+                # Q d = d - dbar (dbar.d)/|dbar|^2, applied via inner products
+                resid = d - dbar * (float(dbar @ d) / nrm2)
+            total += math.sqrt(resid.dot(resid))  # np.linalg.norm, without its overhead
+        energies.append(total / (window - 1))
+    return np.asarray(energies)
+
+
+def _nan_as_nan(energies):
+    # The loop's own nan sign can differ between two calls on one input
+    # (CPython's float addition keeps either operand's nan), so a nan
+    # energy is compared as "nan", not by its bits.
+    return np.where(np.isnan(energies), np.nan, energies).tobytes()
+
+
+@st.composite
+def zigzag_cases(draw):
+    """Random-walk iterates (scalars, flat with n = 0..6, or matrices), a
+    window, a pass budget from below one block to several blocks, and a
+    length of several passes, a short last one and a dropped partial block;
+    scaled 1e-10 to 1e10, with closed blocks, blocks moving by under 1e-14,
+    and nan/inf entries."""
+    w = draw(st.integers(2, 25))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 6)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    budget = draw(st.one_of(st.integers(1, 300),
+                            st.just(diagnostics._PASS_FLOATS)))
+    n_blocks = draw(st.integers(1, 12))
+    length = n_blocks * w + 1 + draw(st.integers(0, w - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.cumsum(rng.standard_normal((length, *shape)), axis=0)
+    pts *= 10.0 ** draw(st.integers(-10, 10))
+    flat = pts.reshape(length, -1)
+    for blk, tiny in draw(st.lists(st.tuples(st.integers(0, n_blocks - 1),
+                                             st.booleans()), max_size=3)):
+        flat[(blk + 1) * w] = flat[blk * w]  # no net displacement
+        if tiny and flat.shape[1]:
+            flat[blk * w] = 0.0
+            flat[(blk + 1) * w] = 0.0
+            flat[(blk + 1) * w, 0] = 3e-15  # 0 < |dbar| < 1e-14
+    if flat.shape[1]:
+        for row, col, v in draw(st.lists(st.tuples(
+                st.integers(0, length - 1), st.integers(0, flat.shape[1] - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
+            flat[row, col] = v
+    return pts, w, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(zigzag_cases())
+def test_zigzag_batched_matches_stepwise_bytes(case):
+    pts, w, budget = case
+    with np.errstate(all="ignore"):  # the loop warns on inf - inf
+        want = stepwise_zigzag(pts, w)
+    with warnings.catch_warnings(), \
+            mock.patch.object(diagnostics, "_PASS_FLOATS", budget):
+        warnings.simplefilter("error")
+        got = zigzag_energy(pts, w)
+    assert _nan_as_nan(got) == _nan_as_nan(want)
+
+
+@pytest.mark.parametrize("w", [5, 20])
+def test_zigzag_memory_does_not_grow_with_the_record(w):
+    # the record is 20001 x 100 floats (16 MB); the passes hold a few
+    # arrays of _PASS_FLOATS floats each, and the energies
+    pts = np.cumsum(np.random.default_rng(5).standard_normal((20001, 100)),
+                    axis=0)
+    tracemalloc.start()
+    try:
+        energies = zigzag_energy(pts, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert energies.tobytes() == stepwise_zigzag(pts, w).tobytes()
+
+
+def test_zigzag_block_larger_than_a_pass():
+    pts = np.cumsum(np.random.default_rng(6).standard_normal((41, 30, 40)),
+                    axis=0)
+    assert 20 * 30 * 40 > diagnostics._PASS_FLOATS
+    assert zigzag_energy(pts, 20).tobytes() == stepwise_zigzag(pts, 20).tobytes()
 
 
 def test_zigzag_csv():
