@@ -4,7 +4,11 @@ The rows are the triangle's rk44 reference row at delta = 0.01 and an rk44
 row on sensing instance 7000 (m = 500, n = 100, delta = 1), each taken at
 iteration ROW_K of a plain run from x0. Per row it times `value`,
 `gradient`, `lmo(g).dense()`, `membership_violation` and `rk_fw_step` at
-that row's point.
+that row's point, and one `line search`: a `value` call at the point, as
+`run` makes for the row, then the line_search variant's search from it
+along the composite direction (x_plain - x) / gamma_k of the row's step.
+The value call comes first so that an objective that keeps the residual
+of its last call (LeastSquares) finds it there, as it does in a run.
 
 Each measurement runs in fresh processes, one after another: every
 process times each call `--number` times per repeat, taking the calls in
@@ -28,7 +32,7 @@ from pathlib import Path
 
 ROW_K = 100  # the iteration whose point and index every call uses
 CALLS = ("value", "gradient", "lmo(...).dense()", "membership_violation",
-         "rk_fw_step")
+         "rk_fw_step", "line search")
 ROWS = ("triangle rk44 d=0.01", "sensing-7000 rk44 d=1")
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,6 +42,7 @@ def measure(repeats, number):
     # imported here, in the child, from the tree its PYTHONPATH names
     from rkfw import (SolverConfig, make_sensing, make_tableau, make_triangle,
                       rk_fw_step)
+    from rkfw.solvers import _searched_step
 
     rk44 = make_tableau("rk44")
     setups = {
@@ -51,10 +56,15 @@ def measure(repeats, number):
         for k in range(ROW_K):
             x, _ = rk_fw_step(x, k, cfg, p)
         obj, region = p.objective, p.region
+        x_plain, _ = rk_fw_step(x, ROW_K, cfg, p)
+        gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * ROW_K)
         ns = {"obj": obj, "region": region, "x": x, "k": ROW_K, "cfg": cfg,
-              "p": p, "g": obj.gradient(x), "step": rk_fw_step}
+              "p": p, "g": obj.gradient(x), "step": rk_fw_step,
+              "search": _searched_step, "d": (x_plain - x) / gamma_k,
+              "fx": obj.value(x)}
         stmts = ("obj.value(x)", "obj.gradient(x)", "region.lmo(g).dense()",
-                 "region.membership_violation(x)", "step(x, k, cfg, p)")
+                 "region.membership_violation(x)", "step(x, k, cfg, p)",
+                 "obj.value(x); search(obj, x, d, fx, k, cfg.c)")
         timers += [(row, call, timeit.Timer(stmt, globals=ns))
                    for call, stmt in zip(CALLS, stmts)]
     best = {row: {} for row in ROWS}

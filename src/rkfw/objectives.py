@@ -4,8 +4,9 @@ The two quadratics also give along(x, d): the exact coefficients of f
 restricted to the line through x along d, with a bound on the rounding of
 evaluated differences; the line search reads its sign tests from them.
 
-All oracles are immutable and pure. check_gradient compares the analytic
-gradient against central finite differences; the tests use it as an oracle.
+The oracles are pure, and immutable apart from LeastSquares' cache of its
+last residual. check_gradient compares the analytic gradient against
+central finite differences; the tests use it as an oracle.
 """
 
 import math
@@ -74,6 +75,12 @@ class LeastSquares:
     residual form, whose rounding along's bound describes. The products
     per call use ndarray.dot, which rounds as @ does without matmul's
     dispatch.
+
+    value and along store the residual r = G x - h they form, with the
+    bytes of x, in one slot. along reuses r when its x has the same bytes,
+    and forms it afresh otherwise; equal bytes give the same r, so the
+    slot changes no result. A run's line search calls along at the point
+    whose row value just evaluated, so it mostly hits.
     """
 
     def __init__(self, g, h):
@@ -85,9 +92,12 @@ class LeastSquares:
         self._h_norm = float(np.linalg.norm(self.h))
         self._gram = self.g.T @ self.g
         self._gt_h = self.g.T @ self.h
+        self._residual = None, None  # (bytes of x, G x - h) of the last call
 
     def value(self, x):
-        r = self.g.dot(np.asarray(x, dtype=float)) - self.h
+        x = np.asarray(x, dtype=float)
+        r = self.g.dot(x) - self.h
+        self._residual = x.tobytes(), r
         return 0.5 * float(r.dot(r))
 
     def gradient(self, x):
@@ -100,7 +110,10 @@ class LeastSquares:
         d = np.asarray(d, dtype=float)
         # ||G||_F ||x + t d|| + ||h|| bounds the terms summed into G(x + t d) - h
         terms = self._g_norm * (_norm(x) + _norm(d)) + self._h_norm
-        return _line_model(self.g.dot(x) - self.h, self.g.dot(d), terms,
+        key = x.tobytes()
+        if self._residual[0] != key:
+            self._residual = key, self.g.dot(x) - self.h
+        return _line_model(self._residual[1], self.g.dot(d), terms,
                            self.g.shape[0] + self.g.shape[1] + 3)
 
 

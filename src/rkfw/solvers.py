@@ -141,27 +141,47 @@ def _row_gap(x, problem):
 
 
 _GRID = tuple(i / 32 for i in range(33))  # np.linspace(0, 1, 33), bit for bit
+_GRID_DOWN = _GRID[::-1]  # the order the line search scans it in
 _BISECT_WIDTH = 1e-10  # the line search's bisection stops at a bracket this wide
 
 
-def _far_root(no_rise):
-    """Largest gamma in [0, 1] that no_rise accepts: 1 when it does, else a
-    scan down the 33-point grid from 31/32 finds the last accepted grid
-    point, and bisection narrows the bracket above it to _BISECT_WIDTH. The
-    grid guards against stopping at an early pocket of phi. Raises
-    ValueError when not even gamma = 0 is accepted (a NaN f or model there).
+def _far_root(a, b, err, trusted, evaluated):
+    """Largest gamma in [0, 1] that passes the sign test phi(gamma) <= 0:
+    a scan down the 33-point grid from gamma = 1 finds the last passing grid
+    point (1 itself when it passes), and bisection narrows the bracket above
+    it to _BISECT_WIDTH. The grid guards against stopping at an early pocket
+    of phi. Raises ValueError when not even gamma = 0 passes (a NaN f or
+    model there).
+
+    The test reads the model m = gamma (a gamma + b) where |m| > err >= 0,
+    and at gamma = 0 when the model is trusted; elsewhere, a NaN m or err
+    included, it calls evaluated(gamma). The model is computed inline, with
+    no call per test: a search makes about 60 tests.
     """
-    if no_rise(1.0):
-        return 1.0
-    for idx in range(31, -1, -1):  # 32 is gamma = 1, refused above
-        if no_rise(_GRID[idx]):
+    neg = -err
+    hi = None  # the grid point above gamma, once the scan has refused one
+    for gamma in _GRID_DOWN:
+        m = gamma * (a * gamma + b)
+        if m > err or m < neg or gamma == 0.0 and trusted:
+            if m <= 0.0:
+                break
+        elif evaluated(gamma):
             break
+        hi = gamma
     else:
         raise ValueError("no step along the search direction passes the sign test")
-    lo, hi = _GRID[idx], _GRID[idx + 1]
+    if hi is None:
+        return 1.0
+    lo = gamma
     while hi - lo > _BISECT_WIDTH:
+        # mid > lo >= 0, so the gamma = 0 rule never applies here
         mid = 0.5 * (lo + hi)
-        if no_rise(mid):
+        m = mid * (a * mid + b)
+        if m < neg:
+            lo = mid
+        elif m > err:
+            hi = mid
+        elif evaluated(mid):
             lo = mid
         else:
             hi = mid
@@ -178,7 +198,7 @@ def _searched_step(objective, x, d, fx, k, c):
     the larger of gbar and the open-loop fraction c/(c+k), clipped to [0, 1];
     if it fails the test, the step falls back to gbar.
 
-    no_rise(gamma) reads the test from along(x, d) -> (a, b, err) where the
+    The test reads the model from along(x, d) -> (a, b, err) where the
     objective has it: phi(gamma) = a gamma^2 + b gamma exactly, and err
     bounds the rounding of phi as value computes it, so wherever
     |model| > err, and at gamma = 0, where both are exactly 0, the model has
@@ -203,18 +223,14 @@ def _searched_step(objective, x, d, fx, k, c):
             points[gamma] = y, objective.value(y)
         return points[gamma][1] - fx <= 0.0
 
-    def no_rise(gamma):
-        m = gamma * (a * gamma + b)
-        if abs(m) > err or gamma == 0.0 and trusted:
-            return m <= 0.0
-        return evaluated(gamma)
-
-    gbar = _far_root(no_rise)
+    gbar = _far_root(a, b, err, trusted, evaluated)
     if not (gbar == 0.0 or evaluated(gbar)):
         err, trusted = math.inf, False  # the model was wrong: drop it
-        gbar = _far_root(no_rise)
+        gbar = _far_root(a, b, err, trusted, evaluated)
     step = min(1.0, max(c / (c + k), gbar))
-    if step != gbar and no_rise(step) and evaluated(step):
+    # step >= c/(c+k) > 0, so the model settles its test only where |m| >
+    # err, and it refuses the step where m > err
+    if step != gbar and not step * (a * step + b) > err and evaluated(step):
         return points[step]
     if gbar in points:
         return points[gbar]

@@ -206,3 +206,43 @@ def test_least_squares_gram_gradient_matches_residual_form(m, n, seed, x_scale, 
     want = g.T @ (g @ x - h)
     scale = np.linalg.norm(g.T @ g) * np.linalg.norm(x) + np.linalg.norm(g.T @ h)
     assert np.max(np.abs(obj.gradient(x) - want)) <= 1e-12 * scale
+
+
+class DotCounted(np.ndarray):
+    """A matrix that counts its products with vectors."""
+
+    def dot(self, v):
+        self.products += 1
+        return self.view(np.ndarray).dot(v)
+
+
+@pytest.mark.parametrize("case,hit", [
+    ("value at x", True), ("value at an equal copy", True),
+    ("value at x, then x changed in place", False), ("value elsewhere", False),
+])
+def test_least_squares_along_reuses_only_the_residual_at_its_x(case, hit):
+    # along reuses the residual of the last value call when its x has the
+    # same bytes, and otherwise forms it: in every case the answer is the
+    # fresh instance's, byte for byte
+    rng = np.random.default_rng(11)
+    g, h = rng.standard_normal((50, 10)), rng.standard_normal(50)
+    x, d = rng.standard_normal(10), rng.standard_normal(10)
+    obj = LeastSquares(g, h)
+    if case == "value at x":
+        obj.value(x)
+    elif case == "value at an equal copy":
+        obj.value(x.copy())
+    elif case == "value at x, then x changed in place":
+        obj.value(x)
+        x[3] += 0.5
+    else:
+        obj.value(x + 1.0)
+    obj.g = obj.g.view(DotCounted)
+    obj.g.products = 0
+    got = obj.along(x, d)
+    assert np.array(got).tobytes() == np.array(LeastSquares(g, h).along(x, d)).tobytes()
+    # G d always, and G x only when the residual was not reused
+    assert obj.g.products == (1 if hit else 2)
+    # along fills the slot too: a second call at x reuses its residual
+    assert np.array(obj.along(x, d)).tobytes() == np.array(got).tobytes()
+    assert obj.g.products == (2 if hit else 3)

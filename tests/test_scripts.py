@@ -52,6 +52,9 @@ def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
     assert header.startswith("us per call")
     assert columns.endswith("max proc")
     assert len(rows) == len(script.ROWS) * len(script.CALLS)
+    # the line search is timed on both rows, after the row's value call
+    searches = [row[:22].rstrip() for row in rows if " line search " in row]
+    assert searches == list(script.ROWS)
     for row in rows:
         # the tree's minimum over both processes, then the larger process minimum
         lowest, largest = map(float, row.split()[-2:])

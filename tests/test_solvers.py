@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkfw.geometry import Box, DenseAtom, VertexHull
@@ -12,8 +12,8 @@ from rkfw.harness import ExperimentConfig, build_problem, iterates_txt, traj_csv
 from rkfw.objectives import DistanceSq, LeastSquares
 from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
                            make_triangle)
-from rkfw.solvers import (SolverConfig, _searched_step, fw_gap, momentum_step,
-                          rk_fw_step, run)
+from rkfw.solvers import (_BISECT_WIDTH, _GRID, SolverConfig, _far_root, _searched_step,
+                          fw_gap, momentum_step, rk_fw_step, run)
 from rkfw.tableau import (TABLEAU_NAMES, ButcherTableau, feasibility_certificate,
                           make_tableau, stage_gammas)
 
@@ -579,6 +579,183 @@ def test_line_search_model_and_evaluated_runs_agree(name):
         assert a.fs.tobytes() == b.fs.tobytes(), seed
         assert a.step_norms.tobytes() == b.step_norms.tobytes(), seed
         assert a.iterates.tobytes() == b.iterates.tobytes(), seed
+
+
+def closure_far_root(no_rise):
+    """The closure-based _far_root that the inline one replaced, verbatim:
+    the reference for test_inline_far_root_matches_closure_far_root."""
+    if no_rise(1.0):
+        return 1.0
+    for idx in range(31, -1, -1):  # 32 is gamma = 1, refused above
+        if no_rise(_GRID[idx]):
+            break
+    else:
+        raise ValueError("no step along the search direction passes the sign test")
+    lo, hi = _GRID[idx], _GRID[idx + 1]
+    while hi - lo > _BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if no_rise(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def closure_no_rise(a, b, err, trusted, evaluated):
+    """The sign test as the closure-based search built it."""
+
+    def no_rise(gamma):
+        m = gamma * (a * gamma + b)
+        if abs(m) > err or gamma == 0.0 and trusted:
+            return m <= 0.0
+        return evaluated(gamma)
+
+    return no_rise
+
+
+def closure_searched_step(objective, x, d, fx, k, c):
+    """The closure-based _searched_step, verbatim but for its docstring."""
+    along = getattr(objective, "along", None)
+    trusted = along is not None
+    a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
+    points = {}  # gamma -> (x + gamma d, f there)
+
+    def evaluated(gamma):
+        if gamma not in points:
+            y = x + gamma * d
+            points[gamma] = y, objective.value(y)
+        return points[gamma][1] - fx <= 0.0
+
+    def no_rise(gamma):
+        m = gamma * (a * gamma + b)
+        if abs(m) > err or gamma == 0.0 and trusted:
+            return m <= 0.0
+        return evaluated(gamma)
+
+    gbar = closure_far_root(no_rise)
+    if not (gbar == 0.0 or evaluated(gbar)):
+        err, trusted = math.inf, False  # the model was wrong: drop it
+        gbar = closure_far_root(no_rise)
+    step = min(1.0, max(c / (c + k), gbar))
+    if step != gbar and no_rise(step) and evaluated(step):
+        return points[step]
+    if gbar in points:
+        return points[gbar]
+    x_next = x + gbar * d
+    return x_next, fx if x_next.tobytes() == x.tobytes() else None
+
+
+class Rising:
+    """f(x) = x[0]: monotone along every d. No along()."""
+
+    def value(self, x):
+        return float(x[0])
+
+
+class Modelled:
+    """`objective`'s value, with every point it is called at logged in
+    `points`, and an along() that answers `model` whatever x and d are."""
+
+    def __init__(self, objective, model):
+        self.points = []
+        self.value = lambda y: self.points.append(y.tobytes()) or objective.value(y)
+        if model is not None:
+            self.along = lambda x, d: model
+
+
+SEARCH_ORACLES = {"monotone": Rising, "pocketed": Pocketed,
+                  "nan_beyond_half": NanBeyondHalf}
+# model coefficients of either sign, zeros, infinities and NaN; err from 0
+# through the smallest subnormal to inf, the bound of a dropped model, and
+# the NaN bound of a non-finite x or d
+model_coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats(-4.0, 4.0))
+model_errs = st.sampled_from([0.0, 5e-324, 1e-12, 0.05, 1.0, math.inf, math.nan])
+
+
+def outcome(search):
+    """search()'s result, or the message of the ValueError it raises."""
+    try:
+        return search()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(model_coefficients, model_coefficients, model_errs, st.booleans(),
+       st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0))
+@example(math.inf, 0.0, 0.0, True, "monotone", 1.0)  # NaN model at 0: raises
+@example(0.0, 0.0, math.inf, False, "pocketed", 1.0)  # a dropped model
+def test_inline_far_root_matches_closure_far_root(a, b, err, trusted, oracle, d):
+    # same gamma or same error, and evaluated called at the same gammas in
+    # the same order
+    results = []
+    for inline in (True, False):
+        objective, x, log = SEARCH_ORACLES[oracle](), np.array([0.0]), []
+        fx = objective.value(x)
+
+        def evaluated(gamma):
+            log.append(gamma)
+            return objective.value(x + gamma * np.array([d])) - fx <= 0.0
+
+        if inline:
+            gbar = outcome(lambda: _far_root(a, b, err, trusted, evaluated))
+        else:
+            no_rise = closure_no_rise(a, b, err, trusted, evaluated)
+            gbar = outcome(lambda: closure_far_root(no_rise))
+        results.append((gbar, log))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=400)
+@given(model_coefficients, model_coefficients, model_errs, st.booleans(),
+       st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0),
+       st.integers(0, 50), st.sampled_from([1.0, 2.0, 6.0]))
+def test_inline_search_matches_closure_search(a, b, err, model, oracle, d, k, c):
+    # the whole search, with its check of gbar, the redo and the schedule
+    # step: the same point, f and error, and value called at the same points
+    results = []
+    for search in (_searched_step, closure_searched_step):
+        objective = Modelled(SEARCH_ORACLES[oracle](), (a, b, err) if model else None)
+        x, direction = np.array([0.0]), np.array([d])
+        fx = SEARCH_ORACLES[oracle]().value(x)
+        got = outcome(lambda: search(objective, x, direction, fx, k, c))
+        if not isinstance(got, str):
+            got = (got[0].tobytes(), got[1])
+        results.append((got, objective.points))
+    assert results[0] == results[1]
+
+
+class NanAtStart:
+    """f(x) = -|x|, except NaN at x = 0. No along()."""
+
+    def value(self, x):
+        u = abs(float(x[0]))
+        return -u if u else math.nan
+
+
+class NanModel(DistanceSq):
+    """DistanceSq whose along() answers a = inf, b = -inf: a + b is NaN."""
+
+    def along(self, x, d):
+        return math.inf, -math.inf, 0.0
+
+
+def test_line_search_raises_when_no_step_passes():
+    msg = "^no step along the search direction passes the sign test$"
+    # a NaN f(x) fails every sign test, gamma = 0 included
+    obj, x = NanAtStart(), np.array([0.0])
+    with pytest.raises(ValueError, match=msg):
+        _searched_step(obj, x, np.array([1.0]), obj.value(x), k=1, c=2.0)
+    # along an ascent direction f rises at every gamma > 0, and the trusted
+    # model is NaN at gamma = 0, so it refuses even the step that stays at x
+    obj, x = NanModel(np.array([0.0])), np.array([0.5])
+    with pytest.raises(ValueError, match=msg):
+        _searched_step(obj, x, np.array([1.0]), obj.value(x), k=1, c=2.0)
+    # with the true model, the same search stays at x
+    x_next, f_next = _searched_step(DistanceSq(np.array([0.0])), x, np.array([1.0]),
+                                    0.125, k=1, c=2.0)
+    assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
 
 
 class ResidualGradient(LeastSquares):
