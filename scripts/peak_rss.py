@@ -1,0 +1,82 @@
+"""Peak resident memory of one sweep at iters N, 4N and 16N.
+
+Each sweep runs in a fresh process: `rkfw.cli.main(["sweep", ...])` on the
+config with `iters` replaced and `out_dir` a temporary directory, started
+in the current directory, so relative `data` and `tableau` paths read as
+in `rkfw sweep`. The process reports its VmHWM, the peak resident set of
+its own memory, once after importing rkfw and once after the sweep. Memory
+that a run keeps per iteration shows as a peak that grows with `iters`; a
+run that keeps nothing per row and coordinate reads about the same at all
+three lengths.
+
+    python scripts/peak_rss.py --config sweep.cfg --iters 1000
+"""
+import argparse
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def vmhwm_mb():
+    """VmHWM of this process in MiB (Linux), not ru_maxrss, which a child
+    inherits from its parent through exec."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def _child(config, iters, tmp):
+    """Run the sweep of `config` at `iters` into `tmp` in this process and
+    print its report, one JSON line."""
+    import rkfw.cli
+    from rkfw.harness import parse_config, render
+
+    imported = vmhwm_mb()
+    cfg = dataclasses.replace(parse_config(Path(config).read_text(encoding="utf-8")),
+                              iters=iters, out_dir=str(Path(tmp) / "out"))
+    path = Path(tmp) / "sweep.cfg"
+    path.write_text(render(cfg))
+    rc = rkfw.cli.main(["sweep", "--config", str(path)])
+    print(json.dumps({"rc": rc, "imported_mb": imported, "peak_mb": vmhwm_mb()}))
+
+
+def measure(config, iters, src):
+    """{rc, imported_mb, peak_mb} of one fresh-process sweep of the config
+    file at `iters` iterations, importing rkfw from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", str(config), str(iters), tmp],
+            env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", required=True, help="a sweep config file")
+    ap.add_argument("--iters", type=int, required=True, help="N, the shortest run")
+    ap.add_argument("--src", type=Path, default=DEFAULT_SRC,
+                    help="the tree holding the rkfw package (default: this checkout's src/)")
+    args = ap.parse_args(argv)
+    print("iters  after import (MiB)  peak (MiB)  peak - import (MiB)")
+    for iters in (args.iters, 4 * args.iters, 16 * args.iters):
+        r = measure(args.config, iters, args.src)
+        if r["rc"] != 0:
+            raise SystemExit(f"the sweep at iters = {iters} exited {r['rc']}")
+        print(f"{iters:5d} {r['imported_mb']:19.2f} {r['peak_mb']:11.2f} "
+              f"{r['peak_mb'] - r['imported_mb']:20.2f}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        _child(sys.argv[2], int(sys.argv[3]), sys.argv[4])
+    else:
+        main()

@@ -7,7 +7,7 @@ import numpy as np
 from .tableau import ButcherTableau, _mixing_matrix, stage_gammas
 
 __all__ = [
-    "zigzag_energy", "sup_envelope_all", "fit_rate_slope",
+    "zigzag_energy", "ZigzagWindow", "sup_envelope_all", "fit_rate_slope",
     "decrease_bound_d4", "decrease_bound_check",
 ]
 
@@ -40,7 +40,13 @@ def zigzag_energy(iterates, window: int) -> np.ndarray:
     pts = np.asarray(iterates, dtype=float)
     if len(pts) < window + 1:
         raise ValueError(f"need at least {window + 1} iterates, got {len(pts)}")
-    pts = pts.reshape(len(pts), -1)
+    return _block_energies(pts.reshape(len(pts), -1), window)
+
+
+def _block_energies(pts, window: int) -> np.ndarray:
+    """zigzag_energy of the (rows, n) float array pts, at least one row,
+    window >= 2: one energy per complete block, none for `window` rows or
+    fewer."""
     n = pts.shape[1]
     # Row pitch: every vector handed to ddot starts 16-byte aligned, as the
     # fresh array of a per-step product does; some ddot kernels (Prescott)
@@ -71,6 +77,51 @@ def zigzag_energy(iterates, window: int) -> np.ndarray:
             total = np.cumsum(norms, axis=1)[:, -1]  # left to right from 0.0
             energies[b0:b0 + b] = total / (window - 1)
     return energies
+
+
+class ZigzagWindow:
+    """zigzag_energy(rows, window) of a run's rows, computed while the run
+    goes: `run` calls the window with its rows a chunk at a time, and
+    `energies()` then returns the block energies zigzag_energy would give
+    for all the rows, byte for byte (an empty array for fewer than
+    window + 1 rows).
+
+    Between chunks the window holds only its unfinished block, at most
+    `window` rows, in a buffer of window + 1 rows, and the energies so far.
+    Each chunk first completes that block, and the blocks after it are read
+    from the chunk itself; every row is copied at most once, and nothing of
+    a chunk is kept by reference, so a caller may overwrite it once the call
+    returns.
+    """
+
+    def __init__(self, window: int):
+        if window < 2:
+            raise ValueError("window must be >= 2")
+        self.window = window
+        self._block = None  # the unfinished block's rows, then free rows
+        self._held = 0  # how many rows of _block are held
+        self._done = []  # arrays of finished block energies, in order
+
+    def __call__(self, rows):
+        rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+        w = self.window
+        if self._block is None:
+            self._block = np.empty((w + 1, rows.shape[1]))
+        take = min(w + 1 - self._held, len(rows))
+        self._block[self._held:self._held + take] = rows[:take]
+        self._held += take
+        if self._held <= w:
+            return
+        self._done.append(_block_energies(self._block, w))
+        rest = rows[take - 1:]  # from the row that closed the block
+        energies = _block_energies(rest, w)
+        self._done.append(energies)
+        tail = rest[len(energies) * w:]
+        self._block[:len(tail)] = tail
+        self._held = len(tail)
+
+    def energies(self) -> np.ndarray:
+        return np.concatenate(self._done) if self._done else np.empty(0)
 
 
 def sup_envelope_all(series) -> np.ndarray:

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import zigzag_energy
+# zigzag_energy is not called here; bench/spans.py traces it at this import site
+from .diagnostics import ZigzagWindow, zigzag_energy  # noqa: F401
 from .flow import check_reference, reference_trajectory, total_accumulation_error
 from .problems import (make_logistic, make_matrix_completion, make_scalar_huber,
                        make_sensing, make_sensing_logistic, make_triangle)
@@ -279,7 +280,7 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
     if any(w < 2 for w in cfg.windows):
         raise ValueError("window must be >= 2")
-    record = cfg.record_iterates or bool(cfg.windows) or cfg.ref_delta is not None
+    record = cfg.record_iterates or cfg.ref_delta is not None
     solver_cfgs = [SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
                                 delta=cfg.delta, max_iters=cfg.iters,
                                 variant=cfg.variant, record_iterates=record)
@@ -330,17 +331,18 @@ def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
 
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
              out_root: Path) -> dict:
-    traj = run(problem, solver_cfg)
+    # a window needs w + 1 rows; the run's rows stream through the others
+    windows = [ZigzagWindow(w) for w in cfg.windows if w <= solver_cfg.max_iters]
+    traj = run(problem, solver_cfg, windows)
     # the directory follows the run, so a run that raises leaves none
     run_dir = out_root / _run_name(solver_cfg)
     run_dir.mkdir(exist_ok=True)
     (run_dir / "traj.csv").write_text(traj_csv(traj))
     if cfg.record_iterates:
         (run_dir / "iterates.txt").write_text(iterates_txt(traj))
-    for w in cfg.windows:
-        if len(traj.iterates) >= w + 1:
-            (run_dir / f"zigzag_w{w}.csv").write_text(
-                zigzag_csv(zigzag_energy(traj.iterates, w), w))
+    for zz in windows:
+        (run_dir / f"zigzag_w{zz.window}.csv").write_text(
+            zigzag_csv(zz.energies(), zz.window))
     if cfg.ref_delta is not None:
         # rows first, file second: a failed reference leaves no empty tae.csv
         (run_dir / "tae.csv").write_text(tae_csv(problem, traj, cfg))

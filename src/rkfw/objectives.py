@@ -22,16 +22,17 @@ __all__ = [
 
 def _norm(v):
     """np.linalg.norm(v) for a float array: the root of its self-dot."""
-    v = v.reshape(-1)
+    v = v.ravel()
     return math.sqrt(v.dot(v))
 
 
-def _line_model(r, dr, terms, count):
+def _line_model(r, rr, dr, terms, count):
     """(a, b, err) for f = 0.5 ||r||^2 along r(t) = r + t dr: f(t) - f(0) =
     a t^2 + b t exactly, and err bounds the rounding of value(x + t d) -
-    value(x), t in [0, 1]. `count` is at least the number of terms summed
-    into an entry of r plus the number of entries summed into ||r||^2, and
-    `terms` bounds the norm of the vector of summed term magnitudes of r.
+    value(x), t in [0, 1]. rr is r.r, `count` is at least the number of
+    terms summed into an entry of r plus the number of entries summed into
+    ||r||^2, and `terms` bounds the norm of the vector of summed term
+    magnitudes of r.
 
     Rounding moves r by at most count * eps * terms in norm (Higham's bound
     for sums), and 0.5 ||r||^2 by at most that times ||r|| plus its square.
@@ -39,8 +40,9 @@ def _line_model(r, dr, terms, count):
     and below 4e-4 of it on the sensing benchmark.
     """
     drift = count * sys.float_info.epsilon * terms
-    err = float((_norm(r) + _norm(dr) + drift) * drift)
-    return 0.5 * float(dr.dot(dr)), float(r.dot(dr)), err
+    dd = dr.dot(dr)
+    err = float((math.sqrt(rr) + math.sqrt(dd) + drift) * drift)
+    return 0.5 * float(dd), float(r.dot(dr)), err
 
 
 class DistanceSq:
@@ -62,7 +64,8 @@ class DistanceSq:
         err bounds the rounding of value(x + t d) - value(x), t in [0, 1]."""
         x = np.asarray(x, dtype=float)
         d = np.asarray(d, dtype=float)
-        return _line_model(x - self.target, d,
+        r = x - self.target
+        return _line_model(r, r.dot(r), d,
                            _norm(x) + _norm(d) + self._target_norm, d.size + 3)
 
 
@@ -77,10 +80,10 @@ class LeastSquares:
     dispatch.
 
     value and along store the residual r = G x - h they form, with the
-    bytes of x, in one slot. along reuses r when its x has the same bytes,
-    and forms it afresh otherwise; equal bytes give the same r, so the
-    slot changes no result. A run's line search calls along at the point
-    whose row value just evaluated, so it mostly hits.
+    bytes of x and r.r, in one slot. along reuses r and r.r when its x has
+    the same bytes, and forms them afresh otherwise; equal bytes give the
+    same r, so the slot changes no result. A run's line search calls along
+    at the point whose row value just evaluated, so it mostly hits.
     """
 
     def __init__(self, g, h):
@@ -92,13 +95,14 @@ class LeastSquares:
         self._h_norm = float(np.linalg.norm(self.h))
         self._gram = self.g.T @ self.g
         self._gt_h = self.g.T @ self.h
-        self._residual = None, None  # (bytes of x, G x - h) of the last call
+        self._residual = None, None, None  # bytes of x, G x - h, r.r: last call
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         r = self.g.dot(x) - self.h
-        self._residual = x.tobytes(), r
-        return 0.5 * float(r.dot(r))
+        rr = r.dot(r)
+        self._residual = x.tobytes(), r, rr
+        return 0.5 * float(rr)
 
     def gradient(self, x):
         return self._gram.dot(np.asarray(x, dtype=float)) - self._gt_h
@@ -112,8 +116,10 @@ class LeastSquares:
         terms = self._g_norm * (_norm(x) + _norm(d)) + self._h_norm
         key = x.tobytes()
         if self._residual[0] != key:
-            self._residual = key, self.g.dot(x) - self.h
-        return _line_model(self._residual[1], self.g.dot(d), terms,
+            r = self.g.dot(x) - self.h
+            self._residual = key, r, r.dot(r)
+        _, r, rr = self._residual
+        return _line_model(r, rr, self.g.dot(d), terms,
                            self.g.shape[0] + self.g.shape[1] + 3)
 
 

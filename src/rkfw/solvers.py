@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .diagnostics import _PASS_FLOATS
 from .tableau import ButcherTableau, stage_gammas, validate_schedule
 
 __all__ = [
@@ -84,7 +85,7 @@ def _all_finite(v) -> bool:
     """np.isfinite(v).all() for a float array, at the cost of one dot
     product: a finite self-dot proves every entry finite, and only an
     overflowing one is settled entry by entry."""
-    v = v.reshape(-1)
+    v = v.ravel()
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
@@ -257,13 +258,20 @@ def momentum_step(x, z, v, k: int, c: float, problem):
     return x_next, z_next, v_next
 
 
-def run(problem, cfg: SolverConfig) -> Trajectory:
+def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
     """Drive cfg.max_iters steps from problem.x0.
 
     Records one row per visited point, k = 0..max_iters. Under
     line_search the recorded f values never increase: the searched step is
     taken only when it does not raise f, otherwise the step falls back to
     the largest non-increasing fraction along the same direction.
+
+    Each consumer is called with the visited points in order, as arrays of
+    consecutive rows in x0's shape (row k is x_k), every row once. A run
+    that records its iterates hands over that record whole at the end;
+    otherwise the rows go through one buffer of at most _PASS_FLOATS floats
+    (or one row), handed over whenever it fills and at the end, and then
+    overwritten, so a consumer must copy what it keeps.
     """
     x = problem.x0
     obj, region = problem.objective, problem.region
@@ -275,7 +283,14 @@ def run(problem, cfg: SolverConfig) -> Trajectory:
     step_norms = np.zeros(n_rows)
     violations = np.empty(n_rows)
     wall = np.zeros(n_rows, dtype=np.int64)
-    iterates = np.empty((n_rows, *x.shape)) if cfg.record_iterates else None
+    if cfg.record_iterates:
+        rows = np.empty((n_rows, *x.shape))
+    elif consumers:
+        chunk = max(1, _PASS_FLOATS // max(x.size, 1))
+        rows = np.empty((min(chunk, n_rows), *x.shape))
+    else:
+        rows = None
+    held = 0  # rows of `rows` not yet handed to the consumers
 
     if cfg.variant == "momentum":
         z = np.asarray(obj.gradient(x), dtype=float)
@@ -287,8 +302,13 @@ def run(problem, cfg: SolverConfig) -> Trajectory:
         fs[k] = obj.value(x) if f_next is None else f_next
         f_next = None
         violations[k] = region.membership_violation(x)
-        if iterates is not None:
-            iterates[k] = x
+        if rows is not None:
+            rows[held] = x
+            held += 1
+            if held == len(rows):
+                for consume in consumers:
+                    consume(rows)
+                held = 0
         if k == cfg.max_iters:
             gaps[k] = _row_gap(x, problem)
             wall[k] = time.perf_counter_ns() - t0
@@ -305,14 +325,18 @@ def run(problem, cfg: SolverConfig) -> Trajectory:
             gaps[k] = _row_gap(x, problem)
             x_next, z, v = momentum_step(x, z, v, k, cfg.c, problem)
 
-        dx = (x_next - x).reshape(-1)
+        dx = (x_next - x).ravel()
         # what np.linalg.norm computes for a 1-d float vector, without its overhead
         step_norms[k] = math.sqrt(dx.dot(dx))
         wall[k] = time.perf_counter_ns() - t0
         x = x_next
 
+    if held:
+        for consume in consumers:
+            consume(rows[:held])
     return Trajectory(
         ks=ks, ts=ts, fs=fs, gaps=gaps, step_norms=step_norms,
         violations=violations, wall_ns=wall, delta=cfg.delta,
-        f_star=problem.f_star, iterates=iterates,
+        f_star=problem.f_star,
+        iterates=rows if cfg.record_iterates else None,
     )

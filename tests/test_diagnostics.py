@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkfw import diagnostics
-from rkfw.diagnostics import (decrease_bound_check, decrease_bound_d4,
+from rkfw import diagnostics, solvers
+from rkfw.diagnostics import (ZigzagWindow, decrease_bound_check, decrease_bound_d4,
                               fit_rate_slope, sup_envelope_all, zigzag_energy)
 from rkfw.harness import zigzag_csv
-from rkfw.problems import make_triangle
+from rkfw.problems import make_matrix_completion, make_sensing, make_triangle
 from rkfw.solvers import SolverConfig, run
 from rkfw.tableau import ButcherTableau, make_tableau, stage_gammas
 
@@ -50,6 +50,8 @@ def test_zigzag_blocks_are_disjoint_and_partial_dropped():
 def test_zigzag_validation():
     with pytest.raises(ValueError, match="window"):
         zigzag_energy(STAIR, window=1)
+    with pytest.raises(ValueError, match="window must be >= 2"):
+        ZigzagWindow(1)
     with pytest.raises(ValueError, match="need at least"):
         zigzag_energy(STAIR, window=4)
 
@@ -193,6 +195,88 @@ def test_zigzag_block_larger_than_a_pass():
                     axis=0)
     assert 20 * 30 * 40 > diagnostics._PASS_FLOATS
     assert zigzag_energy(pts, 20).tobytes() == stepwise_zigzag(pts, 20).tobytes()
+
+
+def _streamed(pts, w, chunk):
+    """ZigzagWindow(w)'s energies for pts handed over `chunk` rows at a time
+    in one buffer that is overwritten after each call, as run hands them."""
+    zz = ZigzagWindow(w)
+    buf = np.empty((chunk, *pts.shape[1:]))
+    for k0 in range(0, len(pts), chunk):
+        part = pts[k0:k0 + chunk]
+        buf[:len(part)] = part
+        zz(buf[:len(part)])
+        buf.fill(np.nan)  # what the window keeps, it must have copied
+    return zz.energies()
+
+
+@settings(max_examples=200, deadline=None)
+@given(zigzag_cases(), st.integers(1, 40), st.integers(0, 30))
+def test_zigzag_window_streams_zigzag_energy_bytes(case, chunk, cut):
+    # any chunking, non-finite rows and runs cut shorter than a window included
+    pts, w, budget = case
+    pts = pts[:max(0, len(pts) - cut)]
+    with warnings.catch_warnings(), \
+            mock.patch.object(diagnostics, "_PASS_FLOATS", budget):
+        warnings.simplefilter("error")
+        want = zigzag_energy(pts, w) if len(pts) > w else np.empty(0)
+        got = _streamed(pts, w, chunk)
+    assert _nan_as_nan(got) == _nan_as_nan(want)
+
+
+def _stream_problem(shape):
+    if len(shape) == 2:
+        rng = np.random.default_rng(4)
+        cells = rng.choice(shape[0] * shape[1], 7, replace=False)
+        ratings = [(int(c) // shape[1], int(c) % shape[1], float(rng.integers(1, 6)))
+                   for c in cells]
+        return make_matrix_completion(ratings, shape, alpha=5.0, rho=1.0)
+    return make_sensing(m=30, n=shape[0], alpha=20.0, seed=1)
+
+
+@pytest.mark.parametrize("shape, pass_floats", [
+    ((1,), 3), ((2,), 8), ((7,), 35), ((7,), 8192), ((100,), 8192), ((4, 3), 84),
+])
+def test_run_streams_windows_as_zigzag_energy_reads_the_record(shape, pass_floats,
+                                                               monkeypatch):
+    # every run length around the chunk's: shorter than a window, one row
+    # past a chunk, and exact multiples of it, where nothing is left to flush
+    monkeypatch.setattr(solvers, "_PASS_FLOATS", pass_floats)
+    problem = _stream_problem(shape)
+    chunk = max(1, pass_floats // int(np.prod(shape)))
+    windows = (2, 3, 5, 20, 200)
+    euler = make_tableau("euler")
+    for n_rows in sorted({2, 4, chunk, chunk + 1, 2 * chunk, 3 * chunk, 403}):
+        streamed = [ZigzagWindow(w) for w in windows]
+        traj = run(problem, SolverConfig(tableau=euler, max_iters=n_rows - 1), streamed)
+        assert traj.iterates is None
+        fed = [ZigzagWindow(w) for w in windows]
+        rec = run(problem, SolverConfig(tableau=euler, max_iters=n_rows - 1,
+                                        record_iterates=True), fed).iterates
+        assert rec.shape == (n_rows, *shape)
+        for w, a, b in zip(windows, streamed, fed):
+            want = zigzag_energy(rec, w) if n_rows > w else np.empty(0)
+            assert a.energies().tobytes() == want.tobytes(), (n_rows, w)
+            assert b.energies().tobytes() == want.tobytes(), (n_rows, w)
+
+
+def test_windows_only_run_keeps_no_iterates():
+    # a record would add 100 floats a row; the run's own columns (k, t, f,
+    # gap, step norm, violation, wall) and the energies add under 16
+    problem = make_sensing(m=50, n=100, seed=2)
+    peaks = {}
+    for iters in (200, 2000):
+        cfg = SolverConfig(tableau=make_tableau("euler"), max_iters=iters)
+        windows = [ZigzagWindow(5), ZigzagWindow(20)]
+        tracemalloc.start()
+        try:
+            traj = run(problem, cfg, windows)
+            peaks[iters] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.iterates is None
+        assert len(windows[1].energies()) == iters // 20
+    assert peaks[2000] - peaks[200] < 16 * 8 * 1800
 
 
 def test_zigzag_csv():

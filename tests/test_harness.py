@@ -276,16 +276,16 @@ def test_run_experiment_zigzag_tae_and_iterates(tmp_path):
 @pytest.mark.parametrize("keys, recorded", [
     ("windows =", False),
     ("windows =\nrecord_iterates = true", True),
-    ("windows = 5", True),
+    ("windows = 5", False),  # the windows read the rows as the run streams them
     ("windows =\nref_delta = 0.01", True),
 ])
 def test_run_records_iterates_only_when_read(tmp_path, monkeypatch, keys, recorded):
     seen = []
     real_run = rkfw.harness.run
 
-    def spy(problem, cfg):
+    def spy(problem, cfg, consumers):
         seen.append(cfg.record_iterates)
-        return real_run(problem, cfg)
+        return real_run(problem, cfg, consumers)
 
     monkeypatch.setattr(rkfw.harness, "run", spy)
     run_experiment(parse_config(

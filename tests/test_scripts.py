@@ -59,3 +59,18 @@ def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
         # the tree's minimum over both processes, then the larger process minimum
         lowest, largest = map(float, row.split()[-2:])
         assert 0.0 < lowest <= largest
+
+
+def test_peak_rss_prints_a_row_per_length(tmp_path, monkeypatch, capsys):
+    script = _load(SCRIPTS / "peak_rss.py")
+    config = tmp_path / "sweep.cfg"
+    config.write_text("problem = triangle\ntableau = euler, rk44\nwindows = 5\n")
+    monkeypatch.chdir(tmp_path)
+    script.main(["--config", str(config), "--iters", "5"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.startswith("iters")
+    assert [int(row.split()[0]) for row in rows] == [5, 20, 80]
+    for row in rows:
+        imported, peak, _ = map(float, row.split()[1:])
+        assert 0.0 < imported <= peak
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]  # out_dir was temporary
