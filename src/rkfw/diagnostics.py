@@ -12,7 +12,8 @@ __all__ = [
 ]
 
 
-# Most floats one pass of zigzag_energy's block arithmetic holds in one array.
+# Most floats one pass of zigzag_energy's block arithmetic holds in one
+# array; it also sizes each ZigzagWindow's buffer, one pass of rows.
 _PASS_FLOATS = 8192
 
 
@@ -80,48 +81,45 @@ def _block_energies(pts, window: int) -> np.ndarray:
 
 
 class ZigzagWindow:
-    """zigzag_energy(rows, window) of a run's rows, computed while the run
-    goes: `run` calls the window with its rows a chunk at a time, and
-    `energies()` then returns the block energies zigzag_energy would give
-    for all the rows, byte for byte (an empty array for fewer than
-    window + 1 rows).
+    """zigzag_energy(rows, window) of a run's points, computed while the run
+    goes: `run` calls the window with each point in turn, and `energies()`
+    returns the block energies zigzag_energy would give for all the points
+    so far, byte for byte (an empty array for fewer than window + 1).
 
-    Between chunks the window holds only its unfinished block, at most
-    `window` rows, in a buffer of window + 1 rows, and the energies so far.
-    Each chunk first completes that block, and the blocks after it are read
-    from the chunk itself; every row is copied at most once, and nothing of
-    a chunk is kept by reference, so a caller may overwrite it once the call
-    returns.
+    The window is the only buffer of its points: one array of
+    per_pass * window + 1 rows, exactly one pass of zigzag_energy's block
+    arithmetic. Each point is copied into it; when it fills, the pass runs
+    and its closing row becomes the first row of the next block. A caller
+    may overwrite a point once the call returns.
     """
 
     def __init__(self, window: int):
         if window < 2:
             raise ValueError("window must be >= 2")
         self.window = window
-        self._block = None  # the unfinished block's rows, then free rows
-        self._held = 0  # how many rows of _block are held
+        self._rows = None  # the unfinished pass's rows, shaped at the first point
+        self._held = 0  # how many rows of _rows are held
         self._done = []  # arrays of finished block energies, in order
 
-    def __call__(self, rows):
-        rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
-        w = self.window
-        if self._block is None:
-            self._block = np.empty((w + 1, rows.shape[1]))
-        take = min(w + 1 - self._held, len(rows))
-        self._block[self._held:self._held + take] = rows[:take]
-        self._held += take
-        if self._held <= w:
-            return
-        self._done.append(_block_energies(self._block, w))
-        rest = rows[take - 1:]  # from the row that closed the block
-        energies = _block_energies(rest, w)
-        self._done.append(energies)
-        tail = rest[len(energies) * w:]
-        self._block[:len(tail)] = tail
-        self._held = len(tail)
+    def __call__(self, x):
+        rows = self._rows
+        if rows is None:
+            n = np.size(x)
+            per_pass = max(1, _PASS_FLOATS // (self.window * max(n + n % 2, 1)))
+            rows = self._rows = np.empty((per_pass * self.window + 1, *np.shape(x)))
+        rows[self._held] = x
+        self._held += 1
+        if self._held == len(rows):
+            self._done.append(_block_energies(rows.reshape(len(rows), -1), self.window))
+            rows[0] = rows[-1]
+            self._held = 1
 
     def energies(self) -> np.ndarray:
-        return np.concatenate(self._done) if self._done else np.empty(0)
+        done = self._done
+        if self._held > self.window:
+            part = self._rows[:self._held]
+            done = done + [_block_energies(part.reshape(len(part), -1), self.window)]
+        return np.concatenate(done) if done else np.empty(0)
 
 
 def sup_envelope_all(series) -> np.ndarray:

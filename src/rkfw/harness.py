@@ -331,7 +331,7 @@ def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
 
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
              out_root: Path) -> dict:
-    # a window needs w + 1 rows; the run's rows stream through the others
+    # a window needs w + 1 points; run hands each point to the others in turn
     windows = [ZigzagWindow(w) for w in cfg.windows if w <= solver_cfg.max_iters]
     traj = run(problem, solver_cfg, windows)
     # the directory follows the run, so a run that raises leaves none

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import _PASS_FLOATS
 from .tableau import ButcherTableau, stage_gammas, validate_schedule
 
 __all__ = [
@@ -100,7 +99,7 @@ def rk_fw_step(x, k: int, cfg: SolverConfig, problem):
     t = cfg.tableau
     gradient, lmo = problem.objective.gradient, problem.region.lmo
     x = np.asarray(x, dtype=float)
-    gammas = stage_gammas(t, cfg.c, cfg.delta, k).tolist()
+    gammas = stage_gammas(t, cfg.c, cfg.delta, k)
     xi, gap = [], 0.0
     for i, gamma in enumerate(gammas):
         # a stage with no terms sees x itself; a sum is always a new array,
@@ -266,12 +265,9 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
     taken only when it does not raise f, otherwise the step falls back to
     the largest non-increasing fraction along the same direction.
 
-    Each consumer is called with the visited points in order, as arrays of
-    consecutive rows in x0's shape (row k is x_k), every row once. A run
-    that records its iterates hands over that record whole at the end;
-    otherwise the rows go through one buffer of at most _PASS_FLOATS floats
-    (or one row), handed over whenever it fills and at the end, and then
-    overwritten, so a consumer must copy what it keeps.
+    Each consumer is called with each visited point x_k, k = 0..max_iters,
+    once and in order, as the run's own array in x0's shape; the run keeps
+    no buffer for them. A consumer must not write into the point.
     """
     x = problem.x0
     obj, region = problem.objective, problem.region
@@ -283,14 +279,7 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
     step_norms = np.zeros(n_rows)
     violations = np.empty(n_rows)
     wall = np.zeros(n_rows, dtype=np.int64)
-    if cfg.record_iterates:
-        rows = np.empty((n_rows, *x.shape))
-    elif consumers:
-        chunk = max(1, _PASS_FLOATS // max(x.size, 1))
-        rows = np.empty((min(chunk, n_rows), *x.shape))
-    else:
-        rows = None
-    held = 0  # rows of `rows` not yet handed to the consumers
+    iterates = np.empty((n_rows, *x.shape)) if cfg.record_iterates else None
 
     if cfg.variant == "momentum":
         z = np.asarray(obj.gradient(x), dtype=float)
@@ -302,13 +291,10 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
         fs[k] = obj.value(x) if f_next is None else f_next
         f_next = None
         violations[k] = region.membership_violation(x)
-        if rows is not None:
-            rows[held] = x
-            held += 1
-            if held == len(rows):
-                for consume in consumers:
-                    consume(rows)
-                held = 0
+        if iterates is not None:
+            iterates[k] = x
+        for consume in consumers:
+            consume(x)
         if k == cfg.max_iters:
             gaps[k] = _row_gap(x, problem)
             wall[k] = time.perf_counter_ns() - t0
@@ -331,12 +317,9 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
         wall[k] = time.perf_counter_ns() - t0
         x = x_next
 
-    if held:
-        for consume in consumers:
-            consume(rows[:held])
     return Trajectory(
         ks=ks, ts=ts, fs=fs, gaps=gaps, step_norms=step_norms,
         violations=violations, wall_ns=wall, delta=cfg.delta,
         f_star=problem.f_star,
-        iterates=rows if cfg.record_iterates else None,
+        iterates=iterates,
     )

@@ -197,7 +197,7 @@ class CertificateReport:
     sup_norm_monotone: bool
 
 
-def _mixing_matrix(t: ButcherTableau, gammas: np.ndarray) -> np.ndarray:
+def _mixing_matrix(t: ButcherTableau, gammas) -> np.ndarray:
     """P = G (I + A^T G)^{-1} for G = diag(gammas).
 
     Computed through the transpose system (I + G A) P^T = G, which is unit
@@ -205,6 +205,7 @@ def _mixing_matrix(t: ButcherTableau, gammas: np.ndarray) -> np.ndarray:
     substitution solves it exactly.
     """
     q = t.q
+    gammas = np.asarray(gammas)
     m = np.eye(q) + gammas[:, None] * t.a
     rhs = np.diag(gammas)
     pt = np.empty((q, q))
@@ -213,14 +214,15 @@ def _mixing_matrix(t: ButcherTableau, gammas: np.ndarray) -> np.ndarray:
     return pt.T
 
 
-def stage_gammas(t: ButcherTableau, c: float, delta: float, k: int) -> np.ndarray:
-    """Per-stage step fractions delta*c / (c + delta*(k + offset)).
+def stage_gammas(t: ButcherTableau, c: float, delta: float, k: int) -> list:
+    """Per-stage step fractions delta*c / (c + delta*(k + offset)), one
+    Python float per stage.
 
     Evaluated in Python floats, the same operations in the same order as
     the array expression, so every fraction is bit-identical to it.
     """
     dc = delta * c
-    return np.array([dc / (c + delta * (k + o)) for o in t.offset_floats])
+    return [dc / (c + delta * (k + o)) for o in t.offset_floats]
 
 
 def feasibility_certificate(t: ButcherTableau, c: float, delta: float,

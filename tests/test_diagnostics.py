@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkfw import diagnostics, solvers
+from rkfw import diagnostics
 from rkfw.diagnostics import (ZigzagWindow, decrease_bound_check, decrease_bound_d4,
                               fit_rate_slope, sup_envelope_all, zigzag_energy)
 from rkfw.harness import zigzag_csv
@@ -197,30 +197,31 @@ def test_zigzag_block_larger_than_a_pass():
     assert zigzag_energy(pts, 20).tobytes() == stepwise_zigzag(pts, 20).tobytes()
 
 
-def _streamed(pts, w, chunk):
-    """ZigzagWindow(w)'s energies for pts handed over `chunk` rows at a time
-    in one buffer that is overwritten after each call, as run hands them."""
+def _streamed(pts, w):
+    """ZigzagWindow(w)'s energies for pts handed over one row at a time,
+    each row overwritten after its call, with energies() also read halfway,
+    which must not change what the window goes on to compute."""
     zz = ZigzagWindow(w)
-    buf = np.empty((chunk, *pts.shape[1:]))
-    for k0 in range(0, len(pts), chunk):
-        part = pts[k0:k0 + chunk]
-        buf[:len(part)] = part
-        zz(buf[:len(part)])
-        buf.fill(np.nan)  # what the window keeps, it must have copied
+    for k, row in enumerate(pts):
+        x = np.array(row)
+        zz(x)
+        x.fill(np.nan)  # what the window keeps, it must have copied
+        if k == len(pts) // 2:
+            zz.energies()
     return zz.energies()
 
 
 @settings(max_examples=200, deadline=None)
-@given(zigzag_cases(), st.integers(1, 40), st.integers(0, 30))
-def test_zigzag_window_streams_zigzag_energy_bytes(case, chunk, cut):
-    # any chunking, non-finite rows and runs cut shorter than a window included
+@given(zigzag_cases(), st.integers(0, 30))
+def test_zigzag_window_streams_zigzag_energy_bytes(case, cut):
+    # any pass budget, non-finite rows and runs cut shorter than a window included
     pts, w, budget = case
     pts = pts[:max(0, len(pts) - cut)]
     with warnings.catch_warnings(), \
             mock.patch.object(diagnostics, "_PASS_FLOATS", budget):
         warnings.simplefilter("error")
         want = zigzag_energy(pts, w) if len(pts) > w else np.empty(0)
-        got = _streamed(pts, w, chunk)
+        got = _streamed(pts, w)
     assert _nan_as_nan(got) == _nan_as_nan(want)
 
 
@@ -239,24 +240,34 @@ def _stream_problem(shape):
 ])
 def test_run_streams_windows_as_zigzag_energy_reads_the_record(shape, pass_floats,
                                                                monkeypatch):
-    # every run length around the chunk's: shorter than a window, one row
-    # past a chunk, and exact multiples of it, where nothing is left to flush
-    monkeypatch.setattr(solvers, "_PASS_FLOATS", pass_floats)
+    # run lengths around one pass of each window: shorter than the window,
+    # exactly one pass, and one row past a pass
+    monkeypatch.setattr(diagnostics, "_PASS_FLOATS", pass_floats)
     problem = _stream_problem(shape)
-    chunk = max(1, pass_floats // int(np.prod(shape)))
+    n = int(np.prod(shape))
     windows = (2, 3, 5, 20, 200)
+    lengths = {2, 4, 403}
+    for w in windows:
+        rows = max(1, pass_floats // (w * (n + n % 2))) * w + 1
+        lengths |= {w, rows, rows + 1}
     euler = make_tableau("euler")
-    for n_rows in sorted({2, 4, chunk, chunk + 1, 2 * chunk, 3 * chunk, 403}):
+    for n_rows in sorted(lengths):
         streamed = [ZigzagWindow(w) for w in windows]
         traj = run(problem, SolverConfig(tableau=euler, max_iters=n_rows - 1), streamed)
         assert traj.iterates is None
         fed = [ZigzagWindow(w) for w in windows]
+        seen = []  # a copy of every point run hands over, in order
         rec = run(problem, SolverConfig(tableau=euler, max_iters=n_rows - 1,
-                                        record_iterates=True), fed).iterates
+                                        record_iterates=True),
+                  [*fed, lambda x: seen.append(x.copy())]).iterates
         assert rec.shape == (n_rows, *shape)
+        assert len(seen) == n_rows
+        assert all(p.tobytes() == r.tobytes() for p, r in zip(seen, rec))
         for w, a, b in zip(windows, streamed, fed):
             want = zigzag_energy(rec, w) if n_rows > w else np.empty(0)
-            assert a.energies().tobytes() == want.tobytes(), (n_rows, w)
+            got = a.energies()
+            assert got.tobytes() == want.tobytes(), (n_rows, w)
+            assert a.energies().tobytes() == got.tobytes(), (n_rows, w)
             assert b.energies().tobytes() == want.tobytes(), (n_rows, w)
 
 
