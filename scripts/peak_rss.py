@@ -7,9 +7,12 @@ in `rkfw sweep`. The process reports its VmHWM, the peak resident set of
 its own memory, once after importing rkfw and once after the sweep. Memory
 that a run keeps per iteration shows as a peak that grows with `iters`; a
 run that keeps nothing per row and coordinate reads about the same at all
-three lengths.
+three lengths. With several `--src` trees (for example the parent's `src/`
+and this checkout's), their processes alternate at each length, as in
+`scripts/percall.py`, and each length prints one row per tree.
 
     python scripts/peak_rss.py --config sweep.cfg --iters 1000
+    python scripts/peak_rss.py --config sweep.cfg --iters 1000 --src ../parent/src --src src
 """
 import argparse
 import dataclasses
@@ -63,16 +66,19 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--config", required=True, help="a sweep config file")
     ap.add_argument("--iters", type=int, required=True, help="N, the shortest run")
-    ap.add_argument("--src", type=Path, default=DEFAULT_SRC,
-                    help="the tree holding the rkfw package (default: this checkout's src/)")
+    ap.add_argument("--src", action="append", type=Path,
+                    help="a tree holding the rkfw package; repeat to compare "
+                         "trees (default: this checkout's src/)")
     args = ap.parse_args(argv)
-    print("iters  after import (MiB)  peak (MiB)  peak - import (MiB)")
+    srcs = args.src or [DEFAULT_SRC]
+    print(f"iters {'tree':>24s}  after import (MiB)  peak (MiB)  peak - import (MiB)")
     for iters in (args.iters, 4 * args.iters, 16 * args.iters):
-        r = measure(args.config, iters, args.src)
-        if r["rc"] != 0:
-            raise SystemExit(f"the sweep at iters = {iters} exited {r['rc']}")
-        print(f"{iters:5d} {r['imported_mb']:19.2f} {r['peak_mb']:11.2f} "
-              f"{r['peak_mb'] - r['imported_mb']:20.2f}")
+        for src in srcs:
+            r = measure(args.config, iters, src)
+            if r["rc"] != 0:
+                raise SystemExit(f"the sweep of {src} at iters = {iters} exited {r['rc']}")
+            print(f"{iters:5d} {str(src)[-24:]:>24s} {r['imported_mb']:19.2f} "
+                  f"{r['peak_mb']:11.2f} {r['peak_mb'] - r['imported_mb']:20.2f}")
 
 
 if __name__ == "__main__":

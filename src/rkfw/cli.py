@@ -17,18 +17,11 @@ import numpy as np
 from .diagnostics import zigzag_energy
 from .harness import (PROBLEM_NAMES, VALUE_PARSERS, ExperimentConfig,
                       build_problem, parse_config, run_experiment,
-                      solver_configs, tae_csv, zigzag_csv)
+                      solver_configs, tae_csv, write_blocks, zigzag_csv)
 from .solvers import VARIANTS, run
 from .tableau import feasibility_certificate, resolve_tableau
 
 __all__ = ["main"]
-
-
-def _emit(text: str, out):
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
 
 
 # what a run flag needs beyond its ExperimentConfig key and type
@@ -71,7 +64,7 @@ def _cmd_certify(args) -> int:
                  + ("yes" if rep.all_in_unit_interval else "NO"))
     lines.append("# sup norm nonincreasing in k: "
                  + ("yes" if rep.sup_norm_monotone else "NO"))
-    _emit("\n".join(lines) + "\n", args.out)
+    write_blocks(args.out, (line + "\n" for line in lines))
     return 0 if rep.all_in_unit_interval else 1
 
 
@@ -81,7 +74,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     pts = np.loadtxt(args.iterates, ndmin=2)
-    _emit(zigzag_csv(zigzag_energy(pts, args.window), args.window), args.out)
+    write_blocks(args.out, zigzag_csv(zigzag_energy(pts, args.window), args.window))
     return 0
 
 
@@ -93,7 +86,7 @@ def _cmd_tae(args) -> int:
         raise ValueError("tae compares a single tableau against the reference")
     (sc,) = solver_configs(cfg)
     problem = build_problem(cfg)
-    _emit(tae_csv(problem, run(problem, sc), cfg), args.out)
+    write_blocks(args.out, tae_csv(problem, run(problem, sc), cfg))
     return 0
 
 

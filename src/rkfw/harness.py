@@ -8,7 +8,9 @@ module is the one place those files are formatted.
 
 import dataclasses
 import os
+import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +32,7 @@ __all__ = [
 
 PROBLEM_NAMES = ("triangle", "scalar_huber", "sensing", "sensing_logistic",
                  "logistic", "completion")
+_BLOCK_ROWS = 256  # rows per yielded block of traj_csv, iterates_txt, zigzag_csv, tae_csv
 
 
 @dataclass
@@ -278,8 +281,10 @@ def _run_name(solver_cfg: SolverConfig) -> str:
 
 def solver_configs(cfg: ExperimentConfig) -> list:
     """One validated SolverConfig per tableau; fails before any problem is built."""
-    if any(w < 2 for w in cfg.windows):
-        raise ValueError("window must be >= 2")
+    for i, w in enumerate(cfg.windows):
+        if w < 2 or w in cfg.windows[:i]:
+            raise ValueError("window must be >= 2" if w < 2 else
+                             f"two windows would share the file zigzag_w{w}.csv")
     record = cfg.record_iterates or cfg.ref_delta is not None
     solver_cfgs = [SolverConfig(tableau=resolve_tableau(name), c=cfg.c,
                                 delta=cfg.delta, max_iters=cfg.iters,
@@ -298,35 +303,49 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     return solver_cfgs
 
 
-def traj_csv(traj) -> str:
-    """traj.csv: one `k,t,f,gap,step_norm,violation,wall_ns` row per visited point."""
-    ints = [np.asarray(col).astype(np.int64).tolist() for col in (traj.ks, traj.wall_ns)]
-    floats = [np.asarray(col, dtype=float).tolist()
-              for col in (traj.ts, traj.fs, traj.gaps, traj.step_norms, traj.violations)]
-    return "k,t,f,gap,step_norm,violation,wall_ns\n" + "".join(
-        f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n"
-        for k, w, t, f, gap, sn, v in zip(*ints, *floats))
+def traj_csv(traj):
+    """traj.csv, in blocks: one `k,t,f,gap,step_norm,violation,wall_ns` row per visited point."""
+    cols = ((traj.ks, np.int64), (traj.ts, float), (traj.fs, float), (traj.gaps, float),
+            (traj.step_norms, float), (traj.violations, float), (traj.wall_ns, np.int64))
+    yield "k,t,f,gap,step_norm,violation,wall_ns\n"
+    for i in range(0, len(traj.ks), _BLOCK_ROWS):
+        yield "".join(f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n" for k, t, f, gap, sn, v, w
+                      in zip(*(np.asarray(col[i:i + _BLOCK_ROWS]).astype(dtype).tolist()
+                               for col, dtype in cols)))
 
 
-def iterates_txt(traj) -> str:
-    """One recorded iterate per line, flattened, entries space-separated."""
+def iterates_txt(traj):
+    """iterates.txt, in blocks: one recorded iterate per line, flattened, space-separated."""
     rows = traj.iterates.reshape(len(traj.iterates), -1)
-    # a row at a time: a whole-array tolist() would hold every entry as a float object
-    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        # a row at a time: a whole-block tolist() would hold every entry as a float object
+        yield "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows[i:i + _BLOCK_ROWS])
 
 
-def zigzag_csv(energies, window: int) -> str:
-    """`block_start_k,energy` rows of zigzag_energy's blocks, then their mean."""
-    rows = "".join(f"{b * window},{e!r}\n" for b, e in enumerate(energies.tolist()))
-    return f"block_start_k,energy\n{rows}# mean,{float(energies.mean())!r}\n"
+def zigzag_csv(energies, window: int):
+    """`block_start_k,energy` rows of zigzag_energy's blocks, in blocks, then their mean."""
+    yield "block_start_k,energy\n"
+    for i in range(0, len(energies), _BLOCK_ROWS):
+        yield "".join(f"{b * window},{e!r}\n"
+                      for b, e in enumerate(energies[i:i + _BLOCK_ROWS].tolist(), i))
+    yield f"# mean,{float(energies.mean())!r}\n"
 
 
-def tae_csv(problem, traj, cfg: ExperimentConfig) -> str:
-    """`t,epsilon` rows of traj's error against a flow reference at cfg.ref_delta."""
-    ref = reference_trajectory(problem, cfg.c, cfg.ref_delta,
-                               t_end=cfg.iters * cfg.delta)
-    pairs = total_accumulation_error(traj, ref)
-    return "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+def tae_csv(problem, traj, cfg: ExperimentConfig):
+    """`t,epsilon` rows of traj's error against a flow reference at cfg.ref_delta, in blocks."""
+    pairs = total_accumulation_error(traj, reference_trajectory(
+        problem, cfg.c, cfg.ref_delta, t_end=cfg.iters * cfg.delta))
+    yield "t,epsilon\n"  # after every pair: a failed reference writes nothing
+    for i in range(0, len(pairs), _BLOCK_ROWS):
+        yield "".join(f"{t!r},{eps!r}\n" for t, eps in pairs[i:i + _BLOCK_ROWS])
+
+
+def write_blocks(out, blocks):
+    """Write a formatter's blocks one at a time to the file `out`, or to stdout for "-"."""
+    first = next(blocks, "")  # before the file opens, so a failure before any block leaves none
+    with open(out, "w") if out != "-" else nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(blocks)
 
 
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
@@ -337,15 +356,13 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
     # the directory follows the run, so a run that raises leaves none
     run_dir = out_root / _run_name(solver_cfg)
     run_dir.mkdir(exist_ok=True)
-    (run_dir / "traj.csv").write_text(traj_csv(traj))
+    write_blocks(run_dir / "traj.csv", traj_csv(traj))
     if cfg.record_iterates:
-        (run_dir / "iterates.txt").write_text(iterates_txt(traj))
+        write_blocks(run_dir / "iterates.txt", iterates_txt(traj))
     for zz in windows:
-        (run_dir / f"zigzag_w{zz.window}.csv").write_text(
-            zigzag_csv(zz.energies(), zz.window))
+        write_blocks(run_dir / f"zigzag_w{zz.window}.csv", zigzag_csv(zz.energies(), zz.window))
     if cfg.ref_delta is not None:
-        # rows first, file second: a failed reference leaves no empty tae.csv
-        (run_dir / "tae.csv").write_text(tae_csv(problem, traj, cfg))
+        write_blocks(run_dir / "tae.csv", tae_csv(problem, traj, cfg))
     # manifest pins this single run: same config, tableau narrowed to one
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))

@@ -9,9 +9,12 @@ import pytest
 import rkfw.cli
 import rkfw.harness
 from rkfw.cli import build_parser, main
+from rkfw.diagnostics import zigzag_energy
+from rkfw.flow import reference_trajectory, total_accumulation_error
 from rkfw.harness import ExperimentConfig
 from rkfw.problems import make_triangle
-from rkfw.tableau import load_tableau_file
+from rkfw.solvers import SolverConfig, run
+from rkfw.tableau import load_tableau_file, resolve_tableau
 
 
 def test_certify_stdout_and_exit_codes(capsys):
@@ -425,6 +428,68 @@ def test_zigzag_of_solve_dump_matches_solve_csv(tmp_path, capsys):
     assert main(["zigzag", "--iterates", str(run_dir / "iterates.txt"),
                  "--window", "5"]) == 0
     assert capsys.readouterr().out == (run_dir / "zigzag_w5.csv").read_text()
+
+
+# 1, B - 1, B, B + 1 and 2B + 1 rows of output, at B = 3 rows per block
+ROWS_AROUND_BLOCKS = (1, 2, 3, 4, 7)
+
+
+@pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
+def test_zigzag_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, capsys, rows):
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    pts = np.random.default_rng(rows).random((2 * rows + 1, 3))
+    it = tmp_path / "it.txt"
+    it.write_text("".join(" ".join(map(repr, p.tolist())) + "\n" for p in pts))
+    energies = zigzag_energy(pts, 2)
+    want = "block_start_k,energy\n" + "".join(
+        f"{2 * b},{float(e)!r}\n" for b, e in enumerate(energies)
+    ) + f"# mean,{float(np.mean(energies))!r}\n"
+    assert len(energies) == rows
+    assert main(["zigzag", "--iterates", str(it), "--window", "2"]) == 0
+    assert capsys.readouterr().out == want
+    assert main(["zigzag", "--iterates", str(it), "--window", "2",
+                 "--out", str(tmp_path / "zz.csv")]) == 0
+    assert (tmp_path / "zz.csv").read_bytes() == want.encode()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS[1:])  # a reference needs one step
+def test_tae_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, capsys, rows):
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    p = make_triangle()
+    traj = run(p, SolverConfig(tableau=resolve_tableau("rk44"), delta=0.1,
+                               max_iters=rows - 1, record_iterates=True))
+    pairs = total_accumulation_error(traj, reference_trajectory(p, 2.0, 0.01,
+                                                                t_end=(rows - 1) * 0.1))
+    want = "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+    flags = ["tae", "--problem", "triangle", "--tableau", "rk44", "--delta", "0.1",
+             "--iters", str(rows - 1), "--ref-delta", "0.01"]
+    assert main(flags) == 0
+    assert capsys.readouterr().out == want
+    assert main([*flags, "--out", str(tmp_path / "tae.csv")]) == 0
+    assert (tmp_path / "tae.csv").read_bytes() == want.encode()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("out", [None, "tae.csv"])
+def test_tae_failed_reference_writes_nothing(tmp_path, monkeypatch, capsys, out):
+    def failing_reference(*args, **kwargs):
+        raise ArithmeticError("reference failed")
+
+    monkeypatch.setattr(rkfw.harness, "reference_trajectory", failing_reference)
+    monkeypatch.chdir(tmp_path)
+    flags = ["tae", "--problem", "triangle", "--iters", "20", "--delta", "0.1",
+             "--ref-delta", "0.01"]
+    assert main([*flags, *(["--out", out] if out else [])]) == 1
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_window_exits_1_before_any_run(tmp_path, capsys):
+    assert main(["solve", "--problem", "triangle", "--windows", "5,20,5",
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "two windows would share the file zigzag_w5.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tae_requires_ref_delta(capsys):

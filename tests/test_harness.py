@@ -1,13 +1,18 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rkfw
 import rkfw.harness
+from rkfw.diagnostics import zigzag_energy
+from rkfw.flow import reference_trajectory, total_accumulation_error
 from rkfw.harness import (ExperimentConfig, build_problem, load_movielens,
-                          load_svmlight, parse_config, render, run_experiment)
+                          load_svmlight, parse_config, render, run_experiment,
+                          traj_csv, write_blocks, zigzag_csv)
+from rkfw.solvers import Trajectory
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -252,6 +257,14 @@ def test_run_experiment_short_window_fails_before_compute(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_experiment_repeated_window_fails_before_compute(tmp_path):
+    cfg = ExperimentConfig(problem="logistic", data="does_not_exist.svm",
+                           windows=(5, 20, 5), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="two windows would share the file zigzag_w5.csv"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_experiment_missing_data_file(tmp_path):
     cfg = ExperimentConfig(problem="logistic", data="does_not_exist.svm",
                            out_dir=str(tmp_path))
@@ -311,6 +324,128 @@ def test_failed_reference_leaves_no_tae_csv(tmp_path, monkeypatch):
         run_experiment(cfg)
     assert (tmp_path / "euler_plain" / "traj.csv").exists()
     assert not (tmp_path / "euler_plain" / "tae.csv").exists()
+
+
+# 1, B - 1, B, B + 1 and 2B + 1 rows of a file, at B = 3 rows per block
+ROWS_AROUND_BLOCKS = (1, 2, 3, 4, 7)
+
+
+def _traj_text(traj):
+    return "k,t,f,gap,step_norm,violation,wall_ns\n" + "".join(
+        f"{int(traj.ks[i])},{float(traj.ts[i])!r},{float(traj.fs[i])!r},"
+        f"{float(traj.gaps[i])!r},{float(traj.step_norms[i])!r},"
+        f"{float(traj.violations[i])!r},{int(traj.wall_ns[i])}\n"
+        for i in range(len(traj.ks)))
+
+
+def _iterates_text(traj):
+    return "".join(" ".join(repr(float(v)) for v in x.ravel()) + "\n" for x in traj.iterates)
+
+
+def _zigzag_text(energies, window):
+    return "block_start_k,energy\n" + "".join(
+        f"{b * window},{float(e)!r}\n" for b, e in enumerate(energies)
+    ) + f"# mean,{float(np.mean(energies))!r}\n"
+
+
+def _tae_text(pairs):
+    return "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+
+
+def _spied_runs(monkeypatch):
+    """The trajectories of the runs run_experiment makes from here on."""
+    trajs, real_run = [], rkfw.harness.run
+    monkeypatch.setattr(rkfw.harness, "run",
+                        lambda *args: trajs.append(real_run(*args)) or trajs[-1])
+    return trajs
+
+
+@pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
+def test_run_files_are_their_rows_across_block_boundaries(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    trajs = _spied_runs(monkeypatch)
+    # traj.csv, iterates.txt and tae.csv hold one row per visited point; a
+    # reference needs a run of at least one step, so tae.csv starts at 2 rows
+    cfg = ExperimentConfig(problem="triangle", iters=rows - 1, delta=0.1, windows=(),
+                           record_iterates=True, ref_delta=0.01 if rows > 1 else None,
+                           out_dir=str(tmp_path / "points"))
+    run_experiment(cfg)
+    (traj,) = trajs
+    d = tmp_path / "points" / "euler_plain"
+    assert (d / "traj.csv").read_bytes() == _traj_text(traj).encode()
+    assert (d / "iterates.txt").read_bytes() == _iterates_text(traj).encode()
+    assert len(list(traj_csv(traj))) == 1 + -(-rows // 3)  # the header, then the blocks
+    if rows > 1:
+        ref = reference_trajectory(build_problem(cfg), cfg.c, 0.01, t_end=cfg.iters * 0.1)
+        pairs = total_accumulation_error(traj, ref)
+        assert (d / "tae.csv").read_bytes() == _tae_text(pairs).encode()
+    else:
+        assert not (d / "tae.csv").exists()
+    # zigzag_w2.csv holds one row per block of 2 steps
+    run_experiment(ExperimentConfig(problem="triangle", iters=2 * rows, delta=0.1,
+                                    windows=(2,), record_iterates=True,
+                                    out_dir=str(tmp_path / "blocks")))
+    energies = zigzag_energy(trajs[-1].iterates, 2)
+    assert len(energies) == rows
+    got = (tmp_path / "blocks" / "euler_plain" / "zigzag_w2.csv").read_bytes()
+    assert got == _zigzag_text(energies, 2).encode()
+
+
+@pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
+def test_matrix_iterates_are_their_rows_across_block_boundaries(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    trajs = _spied_runs(monkeypatch)
+    ratings = tmp_path / "ratings.tsv"  # 4 users by 3 items: a 4 x 3 iterate
+    ratings.write_text("1\t1\t5\t0\n2\t3\t1\t0\n3\t2\t4\t0\n4\t3\t2\t0\n4\t1\t3\t0\n")
+    run_experiment(ExperimentConfig(problem="completion", data=str(ratings), iters=rows - 1,
+                                    alpha=2.0, windows=(), record_iterates=True,
+                                    out_dir=str(tmp_path / "out")))
+    (traj,) = trajs
+    assert traj.iterates.shape == (rows, 4, 3)
+    got = (tmp_path / "out" / "euler_plain" / "iterates.txt").read_bytes()
+    assert got == _iterates_text(traj).encode()
+
+
+@pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
+def test_tae_csv_is_its_pairs_across_block_boundaries(tmp_path, monkeypatch, rows):
+    # a run of one point has no reference, so its pairs are given here
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    pairs = [(0.1 * i, 1.0 / (i + 3)) for i in range(rows)]
+    monkeypatch.setattr(rkfw.harness, "reference_trajectory", lambda *args, **kw: None)
+    monkeypatch.setattr(rkfw.harness, "total_accumulation_error", lambda traj, ref: pairs)
+    cfg = ExperimentConfig(problem="triangle", ref_delta=0.01)
+    write_blocks(tmp_path / "tae.csv", rkfw.harness.tae_csv(None, None, cfg))
+    assert (tmp_path / "tae.csv").read_bytes() == _tae_text(pairs).encode()
+
+
+def _sensing_sized_trajectory(rows):
+    """A trajectory of `rows` points with a sensing run's columns: integer
+    times at delta = 1 and floats that each need all 17 digits."""
+    rng = np.random.default_rng(rows)
+    ks = np.arange(rows)
+    return Trajectory(ks=ks, ts=ks.copy(), fs=1e3 * rng.random(rows), gaps=rng.random(rows),
+                      step_norms=rng.random(rows), violations=1e-17 * rng.random(rows),
+                      wall_ns=rng.integers(10**4, 10**6, rows), delta=1)
+
+
+def test_writing_a_run_peaks_the_same_at_any_length(tmp_path):
+    # traj.csv and the default windows' files of a windows-only sensing run;
+    # formatting them whole peaked at 7.05 MiB for 16001 rows
+    peaks = {}
+    for rows in (1001, 16001):
+        traj = _sensing_sized_trajectory(rows)
+        energies = {w: np.random.default_rng(w).random((rows - 1) // w) for w in (5, 20)}
+        tracemalloc.start()
+        try:
+            write_blocks(tmp_path / "traj.csv", traj_csv(traj))
+            for w, e in energies.items():
+                write_blocks(tmp_path / f"zigzag_w{w}.csv", zigzag_csv(e, w))
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "traj.csv").read_text() == _traj_text(traj)
+    assert max(peaks.values()) < 2**20
+    assert peaks[16001] - peaks[1001] < 2**17
 
 
 def test_manifest_rerun_reproduces_csvs(tmp_path):

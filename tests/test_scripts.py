@@ -61,16 +61,35 @@ def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
         assert 0.0 < lowest <= largest
 
 
-def test_peak_rss_prints_a_row_per_length(tmp_path, monkeypatch, capsys):
+def _peak_rss_rows(tmp_path, monkeypatch, capsys, srcs):
+    """(iters, tree) of each row peak_rss.py prints for `srcs` (none: the
+    default tree), after checking each row's numbers."""
     script = _load(SCRIPTS / "peak_rss.py")
     config = tmp_path / "sweep.cfg"
     config.write_text("problem = triangle\ntableau = euler, rk44\nwindows = 5\n")
     monkeypatch.chdir(tmp_path)
-    script.main(["--config", str(config), "--iters", "5"])
+    script.main(["--config", str(config), "--iters", "5",
+                 *(arg for src in srcs for arg in ("--src", str(src)))])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.startswith("iters")
-    assert [int(row.split()[0]) for row in rows] == [5, 20, 80]
+    assert header.split()[:2] == ["iters", "tree"]
     for row in rows:
-        imported, peak, _ = map(float, row.split()[1:])
+        imported, peak, _ = map(float, row.split()[2:])
         assert 0.0 < imported <= peak
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]  # out_dir was temporary
+    return [(int(row.split()[0]), row.split()[1]) for row in rows], script.DEFAULT_SRC
+
+
+def test_peak_rss_prints_a_row_per_length(tmp_path, monkeypatch, capsys):
+    rows, default = _peak_rss_rows(tmp_path, monkeypatch, capsys, [])
+    assert rows == [(n, str(default)[-24:]) for n in (5, 20, 80)]
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.cfg"]  # out_dir was temporary
+
+
+def test_peak_rss_alternates_trees_at_each_length(tmp_path, monkeypatch, capsys):
+    # a second tree: this package under another path, given first
+    other = tmp_path / "other" / "src"
+    other.parent.mkdir()
+    other.symlink_to(_load(SCRIPTS / "peak_rss.py").DEFAULT_SRC)
+    srcs = [other, other.resolve()]
+    rows, _ = _peak_rss_rows(tmp_path, monkeypatch, capsys, srcs)
+    assert rows == [(n, str(src)[-24:]) for n in (5, 20, 80) for src in srcs]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["other", "sweep.cfg"]

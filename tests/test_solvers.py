@@ -910,7 +910,7 @@ def test_non_finite_step_raises_in_run(variant):
 def test_csv_round_trip():
     p = make_triangle()
     traj = run(p, cfg_for("rk44", max_iters=5))
-    lines = traj_csv(traj).splitlines()
+    lines = "".join(traj_csv(traj)).splitlines()
     assert lines[0] == "k,t,f,gap,step_norm,violation,wall_ns"
     assert len(lines) == 7
     for i, line in enumerate(lines[1:]):
@@ -930,14 +930,14 @@ def test_csv_rows_are_each_entrys_repr():
         f"{float(traj.gaps[i])!r},{float(traj.step_norms[i])!r},"
         f"{float(traj.violations[i])!r},{int(traj.wall_ns[i])}\n"
         for i in range(len(traj.ks)))
-    assert traj_csv(traj) == want
+    assert "".join(traj_csv(traj)) == want
 
 
 def test_iterates_dump_round_trip(tmp_path):
     p = make_triangle()
     traj = run(p, cfg_for("euler", max_iters=4, record_iterates=True))
     path = tmp_path / "it.txt"
-    path.write_text(iterates_txt(traj))
+    path.write_text("".join(iterates_txt(traj)))
     back = np.loadtxt(path, ndmin=2)
     assert back == pytest.approx(np.stack(traj.iterates), abs=0)
 
