@@ -2,8 +2,9 @@
 
 Config files are flat `key = value` text with `#` comments. Every artifact
 a run produces lands in a per-run directory together with a manifest that,
-fed back through `sweep`, reproduces the run (timing column aside). This
-module is the one place those files are formatted.
+fed back through `sweep`, reproduces the run (timing column aside); a rerun
+replaces them. This module alone formats those files, each as blocks of at
+most `_BLOCK_VALUES` values that `write_blocks` writes.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ __all__ = [
 
 PROBLEM_NAMES = ("triangle", "scalar_huber", "sensing", "sensing_logistic",
                  "logistic", "completion")
-_BLOCK_ROWS = 256  # rows per yielded block of traj_csv, iterates_txt, zigzag_csv, tae_csv
+_BLOCK_VALUES = 2048  # most values in a block of a run file; a block holds one row at least
 
 
 @dataclass
@@ -303,59 +305,62 @@ def solver_configs(cfg: ExperimentConfig) -> list:
     return solver_cfgs
 
 
+def _blocks(row, *cols):
+    """`row(*values)` of each row of cols, (column, dtype) pairs, joined into blocks
+    of at most _BLOCK_VALUES values and one row at least, each from its own slices."""
+    step = max(1, _BLOCK_VALUES // max(1, sum(np.size(col[:1]) for col, _ in cols)))
+    for i in range(0, len(cols[0][0]), step):
+        yield "".join(row(*values) for values in zip(
+            *(np.asarray(col[i:i + step], dtype).tolist() for col, dtype in cols)))
+
+
 def traj_csv(traj):
     """traj.csv, in blocks: one `k,t,f,gap,step_norm,violation,wall_ns` row per visited point."""
-    cols = ((traj.ks, np.int64), (traj.ts, float), (traj.fs, float), (traj.gaps, float),
-            (traj.step_norms, float), (traj.violations, float), (traj.wall_ns, np.int64))
-    yield "k,t,f,gap,step_norm,violation,wall_ns\n"
-    for i in range(0, len(traj.ks), _BLOCK_ROWS):
-        yield "".join(f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n" for k, t, f, gap, sn, v, w
-                      in zip(*(np.asarray(col[i:i + _BLOCK_ROWS]).astype(dtype).tolist()
-                               for col, dtype in cols)))
+    return chain(["k,t,f,gap,step_norm,violation,wall_ns\n"], _blocks(
+        lambda k, t, f, gap, sn, v, w: f"{k},{t!r},{f!r},{gap!r},{sn!r},{v!r},{w}\n",
+        (traj.ks, np.int64), (traj.ts, float), (traj.fs, float), (traj.gaps, float),
+        (traj.step_norms, float), (traj.violations, float), (traj.wall_ns, np.int64)))
 
 
 def iterates_txt(traj):
     """iterates.txt, in blocks: one recorded iterate per line, flattened, space-separated."""
-    rows = traj.iterates.reshape(len(traj.iterates), -1)
-    for i in range(0, len(rows), _BLOCK_ROWS):
-        # a row at a time: a whole-block tolist() would hold every entry as a float object
-        yield "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows[i:i + _BLOCK_ROWS])
+    return _blocks(lambda x: " ".join(map(repr, x)) + "\n",
+                   (traj.iterates.reshape(len(traj.iterates), -1), float))
 
 
 def zigzag_csv(energies, window: int):
     """`block_start_k,energy` rows of zigzag_energy's blocks, in blocks, then their mean."""
-    yield "block_start_k,energy\n"
-    for i in range(0, len(energies), _BLOCK_ROWS):
-        yield "".join(f"{b * window},{e!r}\n"
-                      for b, e in enumerate(energies[i:i + _BLOCK_ROWS].tolist(), i))
-    yield f"# mean,{float(energies.mean())!r}\n"
+    return chain(["block_start_k,energy\n"], _blocks(
+        lambda k, e: f"{k},{e!r}\n", (range(0, len(energies) * window, window), np.int64),
+        (energies, float)), [f"# mean,{float(energies.mean())!r}\n"])
 
 
 def tae_csv(problem, traj, cfg: ExperimentConfig):
     """`t,epsilon` rows of traj's error against a flow reference at cfg.ref_delta, in blocks."""
     pairs = total_accumulation_error(traj, reference_trajectory(
         problem, cfg.c, cfg.ref_delta, t_end=cfg.iters * cfg.delta))
-    yield "t,epsilon\n"  # after every pair: a failed reference writes nothing
-    for i in range(0, len(pairs), _BLOCK_ROWS):
-        yield "".join(f"{t!r},{eps!r}\n" for t, eps in pairs[i:i + _BLOCK_ROWS])
+    return chain(["t,epsilon\n"], _blocks(lambda p: f"{p[0]!r},{p[1]!r}\n", (pairs, float)))
 
 
 def write_blocks(out, blocks):
-    """Write a formatter's blocks one at a time to the file `out`, or to stdout for "-"."""
-    first = next(blocks, "")  # before the file opens, so a failure before any block leaves none
+    """Write a formatter's blocks one at a time to the file `out`, or to stdout
+    for "-". A formatter does what can fail when called, so a failure writes nothing."""
     with open(out, "w") if out != "-" else nullcontext(sys.stdout) as fh:
-        fh.write(first)
         fh.writelines(blocks)
 
 
 def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
-             out_root: Path) -> dict:
+             out_root: Path) -> tuple:
     # a window needs w + 1 points; run hands each point to the others in turn
     windows = [ZigzagWindow(w) for w in cfg.windows if w <= solver_cfg.max_iters]
     traj = run(problem, solver_cfg, windows)
     # the directory follows the run, so a run that raises leaves none
     run_dir = out_root / _run_name(solver_cfg)
     run_dir.mkdir(exist_ok=True)
+    # a rerun replaces the last run's files, the manifest first: none outlives it
+    for p in ("manifest.txt", "traj.csv", "iterates.txt", "tae.csv",
+              *run_dir.glob("zigzag_w*.csv")):
+        (run_dir / p).unlink(missing_ok=True)
     write_blocks(run_dir / "traj.csv", traj_csv(traj))
     if cfg.record_iterates:
         write_blocks(run_dir / "iterates.txt", iterates_txt(traj))
@@ -367,15 +372,11 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))
     (run_dir / "manifest.txt").write_text(f"# rkfw {__version__}\n" + render(single))
-    return {
-        "run": run_dir.name,
-        "tableau": solver_cfg.tableau.name,
-        "variant": solver_cfg.variant,
-        "final_f": float(traj.fs[-1]),
-        "best_f": float(traj.fs.min()),
-        "final_gap": float(traj.gaps[-1]),
-        "max_violation": float(traj.violations.max()),
-    }
+    # the run's best f, and its summary.csv row up to f_star_proxy
+    best_f = float(traj.fs.min())
+    return best_f, (f"{run_dir.name},{solver_cfg.tableau.name},{solver_cfg.variant},"
+                    f"{float(traj.fs[-1])!r},{best_f!r},{float(traj.gaps[-1])!r},"
+                    f"{float(traj.violations.max())!r}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -387,14 +388,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     problem = build_problem(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
-    if len(rows) > 1:
-        f_star_proxy = min(r["best_f"] for r in rows)
-        with open(out_root / "summary.csv", "w") as fh:
-            fh.write("# f_star_proxy is the min f over these runs, not a true optimum\n")
-            fh.write("run,tableau,variant,final_f,best_f,final_gap,max_violation,f_star_proxy\n")
-            for r in rows:
-                fh.write(f"{r['run']},{r['tableau']},{r['variant']},"
-                         f"{r['final_f']!r},{r['best_f']!r},{r['final_gap']!r},"
-                         f"{r['max_violation']!r},{f_star_proxy!r}\n")
+    (out_root / "summary.csv").unlink(missing_ok=True)  # a summary is of its own sweep's runs
+    runs = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
+    if len(runs) > 1:
+        f_star_proxy = min(best_f for best_f, _ in runs)
+        write_blocks(out_root / "summary.csv", [
+            "# f_star_proxy is the min f over these runs, not a true optimum\n",
+            "run,tableau,variant,final_f,best_f,final_gap,max_violation,f_star_proxy\n",
+            *(f"{row},{f_star_proxy!r}\n" for _, row in runs)])
     return 0

@@ -28,6 +28,20 @@ def test_certify_stdout_and_exit_codes(capsys):
     assert "NO" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--tableau", "euler", "--k-max", "0"], "k_max must be >= 1"),
+    (["solve", "--problem", "triangle", "--tableau", ""], "config names no tableau"),
+    (["tae", "--problem", "triangle", "--tableau", "euler,rk44", "--delta", "0.1",
+      "--ref-delta", "0.01"], "tae compares a single tableau against the reference"),
+], ids=["certify-k-max-0", "solve-no-tableau", "tae-two-tableaus"])
+def test_bad_counts_fail_before_any_output(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_to_file(tmp_path):
     out = tmp_path / "cert.csv"
     assert main(["certify", "--tableau", "euler", "--k-max", "4",
@@ -430,13 +444,14 @@ def test_zigzag_of_solve_dump_matches_solve_csv(tmp_path, capsys):
     assert capsys.readouterr().out == (run_dir / "zigzag_w5.csv").read_text()
 
 
-# 1, B - 1, B, B + 1 and 2B + 1 rows of output, at B = 3 rows per block
+# 1, B - 1, B, B + 1 and 2B + 1 rows of output, at B = 3 rows per block:
+# _BLOCK_VALUES is patched to 3 times the 2 values of a zigzag or tae row
 ROWS_AROUND_BLOCKS = (1, 2, 3, 4, 7)
 
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
 def test_zigzag_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, capsys, rows):
-    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     pts = np.random.default_rng(rows).random((2 * rows + 1, 3))
     it = tmp_path / "it.txt"
     it.write_text("".join(" ".join(map(repr, p.tolist())) + "\n" for p in pts))
@@ -455,7 +470,7 @@ def test_zigzag_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, ca
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS[1:])  # a reference needs one step
 def test_tae_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, capsys, rows):
-    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=resolve_tableau("rk44"), delta=0.1,
                                max_iters=rows - 1, record_iterates=True))

@@ -99,6 +99,13 @@ def test_hull_rejects_non_simplex_at_construction():
         VertexHull([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
+@pytest.mark.parametrize("vertices", [[(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)], [0.0, 1.0]],
+                         ids=["nan-vertex", "1-d-list"])
+def test_hull_rejects_non_finite_or_flat_vertices(vertices):
+    with pytest.raises(ValueError, match="^need a 2-d array of finite vertices$"):
+        VertexHull(vertices)
+
+
 def test_hull_rejects_degenerate_at_construction():
     with pytest.raises(ValueError, match="degenerate hull"):
         VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from rkfw.diagnostics import zigzag_energy
 from rkfw.flow import reference_trajectory, total_accumulation_error
 from rkfw.harness import (ExperimentConfig, build_problem, load_movielens,
                           load_svmlight, parse_config, render, run_experiment,
-                          traj_csv, write_blocks, zigzag_csv)
+                          iterates_txt, traj_csv, write_blocks, zigzag_csv)
 from rkfw.solvers import Trajectory
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -36,6 +37,8 @@ def test_parse_rejects_malformed_value():
         parse_config("problem = triangle\niters = soon\n")
     with pytest.raises(ValueError, match="line 2.*malformed value for windows"):
         parse_config("problem = triangle\nwindows = 5,,20\n")
+    with pytest.raises(ValueError, match="^line 2: malformed value for record_iterates: 'maybe'$"):
+        parse_config("problem = triangle\nrecord_iterates = maybe\n")
 
 
 def test_parse_requires_problem():
@@ -122,6 +125,9 @@ def test_svmlight_zero_labels_map_to_minus_one(tmp_path):
 
 def test_svmlight_errors_carry_line_numbers(tmp_path):
     p = tmp_path / "a.svm"
+    p.write_text("x 1:0.5\n")
+    with pytest.raises(ValueError, match="^line 1: non-numeric label 'x'$"):
+        load_svmlight(p)
     p.write_text("1 0:1.0\n")
     with pytest.raises(ValueError, match="line 1: index must be >= 1"):
         load_svmlight(p)
@@ -160,6 +166,8 @@ def test_movielens_frozen_example(tmp_path):
     p = tmp_path / "u.data"
     p.write_text("1\t2\t5\t874965758\n")
     assert load_movielens(p) == [(0, 1, 5.0)]
+    p.write_text("1\t2\t5\t874965758\n \n3\t1\t4\t874965759\n")  # a blank line is skipped
+    assert load_movielens(p) == [(0, 1, 5.0), (2, 0, 4.0)]
 
 
 def test_movielens_bundled_fixture():
@@ -206,13 +214,17 @@ def test_build_problem_each_kind(tmp_path):
     assert p.x0.ndim == 2
 
 
-def test_build_problem_errors():
+def test_build_problem_errors(tmp_path):
     with pytest.raises(ValueError, match="unknown problem"):
         build_problem(ExperimentConfig(problem="sudoku"))
     with pytest.raises(ValueError, match="needs data"):
         build_problem(ExperimentConfig(problem="logistic"))
     with pytest.raises(ValueError, match="needs data"):
         build_problem(ExperimentConfig(problem="completion"))
+    empty = tmp_path / "u.data"
+    empty.write_text("\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: no ratings$"):
+        build_problem(ExperimentConfig(problem="completion", data=str(empty)))
 
 
 def test_run_experiment_row_count(tmp_path):
@@ -326,7 +338,52 @@ def test_failed_reference_leaves_no_tae_csv(tmp_path, monkeypatch):
     assert not (tmp_path / "euler_plain" / "tae.csv").exists()
 
 
-# 1, B - 1, B, B + 1 and 2B + 1 rows of a file, at B = 3 rows per block
+def _failing_reference(*args, **kwargs):
+    raise ArithmeticError("reference failed")
+
+
+def test_rerun_writes_only_its_own_files(tmp_path):
+    run_dir = tmp_path / "euler_plain"
+    run_dir.mkdir()
+    (run_dir / "notes.txt").write_text("kept\n")
+    run_experiment(ExperimentConfig(problem="triangle", iters=40, delta=0.1, ref_delta=0.01,
+                                    record_iterates=True, out_dir=str(tmp_path)))
+    assert {"iterates.txt", "tae.csv", "zigzag_w20.csv"} <= set(os.listdir(run_dir))
+    run_experiment(ExperimentConfig(problem="triangle", iters=40, windows=(5,),
+                                    out_dir=str(tmp_path)))
+    assert sorted(os.listdir(run_dir)) == ["manifest.txt", "notes.txt", "traj.csv",
+                                           "zigzag_w5.csv"]
+    assert parse_config((run_dir / "manifest.txt").read_text()).windows == (5,)
+
+
+def test_rerun_with_failed_reference_leaves_no_old_manifest(tmp_path, monkeypatch):
+    run_experiment(ExperimentConfig(problem="triangle", iters=10, out_dir=str(tmp_path)))
+    monkeypatch.setattr(rkfw.harness, "reference_trajectory", _failing_reference)
+    cfg = ExperimentConfig(problem="triangle", iters=20, delta=0.1, ref_delta=0.01,
+                           out_dir=str(tmp_path))
+    with pytest.raises(ArithmeticError, match="reference failed"):
+        run_experiment(cfg)
+    run_dir = tmp_path / "euler_plain"
+    assert sorted(os.listdir(run_dir)) == ["traj.csv", "zigzag_w20.csv", "zigzag_w5.csv"]
+    assert len((run_dir / "traj.csv").read_text().splitlines()) == 1 + 21
+
+
+def test_sweep_leaves_no_earlier_summary(tmp_path, monkeypatch):
+    two = ExperimentConfig(problem="triangle", tableau=("euler", "rk44"), iters=20, delta=0.1,
+                           out_dir=str(tmp_path))
+    run_experiment(two)
+    assert (tmp_path / "summary.csv").exists()
+    run_experiment(dataclasses.replace(two, tableau=("euler",)))
+    assert not (tmp_path / "summary.csv").exists()
+    run_experiment(two)
+    monkeypatch.setattr(rkfw.harness, "reference_trajectory", _failing_reference)
+    with pytest.raises(ArithmeticError, match="reference failed"):
+        run_experiment(dataclasses.replace(two, ref_delta=0.01))
+    assert not (tmp_path / "summary.csv").exists()
+
+
+# 1, B - 1, B, B + 1 and 2B + 1 rows of a file, at B = 3 rows per block:
+# _BLOCK_VALUES is patched to 3 times the file's row width
 ROWS_AROUND_BLOCKS = (1, 2, 3, 4, 7)
 
 
@@ -362,7 +419,8 @@ def _spied_runs(monkeypatch):
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
 def test_run_files_are_their_rows_across_block_boundaries(tmp_path, monkeypatch, rows):
-    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    # iterates.txt (a triangle iterate), tae.csv and zigzag_w2.csv hold 2 values a row
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     trajs = _spied_runs(monkeypatch)
     # traj.csv, iterates.txt and tae.csv hold one row per visited point; a
     # reference needs a run of at least one step, so tae.csv starts at 2 rows
@@ -374,7 +432,13 @@ def test_run_files_are_their_rows_across_block_boundaries(tmp_path, monkeypatch,
     d = tmp_path / "points" / "euler_plain"
     assert (d / "traj.csv").read_bytes() == _traj_text(traj).encode()
     assert (d / "iterates.txt").read_bytes() == _iterates_text(traj).encode()
-    assert len(list(traj_csv(traj))) == 1 + -(-rows // 3)  # the header, then the blocks
+    assert len(list(iterates_txt(traj))) == -(-rows // 3)
+    # traj.csv holds 7 values a row
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 7)
+    blocks = list(traj_csv(traj))
+    assert "".join(blocks) == _traj_text(traj)
+    assert len(blocks) == 1 + -(-rows // 3)  # the header, then the blocks
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     if rows > 1:
         ref = reference_trajectory(build_problem(cfg), cfg.c, 0.01, t_end=cfg.iters * 0.1)
         pairs = total_accumulation_error(traj, ref)
@@ -393,7 +457,7 @@ def test_run_files_are_their_rows_across_block_boundaries(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
 def test_matrix_iterates_are_their_rows_across_block_boundaries(tmp_path, monkeypatch, rows):
-    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 4 * 3)
     trajs = _spied_runs(monkeypatch)
     ratings = tmp_path / "ratings.tsv"  # 4 users by 3 items: a 4 x 3 iterate
     ratings.write_text("1\t1\t5\t0\n2\t3\t1\t0\n3\t2\t4\t0\n4\t3\t2\t0\n4\t1\t3\t0\n")
@@ -404,12 +468,13 @@ def test_matrix_iterates_are_their_rows_across_block_boundaries(tmp_path, monkey
     assert traj.iterates.shape == (rows, 4, 3)
     got = (tmp_path / "out" / "euler_plain" / "iterates.txt").read_bytes()
     assert got == _iterates_text(traj).encode()
+    assert len(list(iterates_txt(traj))) == -(-rows // 3)
 
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
 def test_tae_csv_is_its_pairs_across_block_boundaries(tmp_path, monkeypatch, rows):
     # a run of one point has no reference, so its pairs are given here
-    monkeypatch.setattr(rkfw.harness, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     pairs = [(0.1 * i, 1.0 / (i + 3)) for i in range(rows)]
     monkeypatch.setattr(rkfw.harness, "reference_trajectory", lambda *args, **kw: None)
     monkeypatch.setattr(rkfw.harness, "total_accumulation_error", lambda traj, ref: pairs)
@@ -446,6 +511,25 @@ def test_writing_a_run_peaks_the_same_at_any_length(tmp_path):
         assert (tmp_path / "traj.csv").read_text() == _traj_text(traj)
     assert max(peaks.values()) < 2**20
     assert peaks[16001] - peaks[1001] < 2**17
+
+
+def test_writing_wide_iterates_peaks_below_a_bound_of_no_row_width(tmp_path):
+    # a completion-shaped record, 61 iterates of 200 x 150 (14.0 MiB): blocks
+    # of 256 rows, whatever their width, peaked at 67.3 MiB writing it
+    traj = dataclasses.replace(_sensing_sized_trajectory(61),
+                               iterates=np.random.default_rng(61).random((61, 200, 150)))
+    tracemalloc.start()
+    try:
+        write_blocks(tmp_path / "iterates.txt", iterates_txt(traj))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "iterates.txt") as fh:
+        lines = [next(fh)] + [line[-30:] for line in fh]  # the last entry of the rest
+    assert len(lines) == 61
+    assert lines[0] == " ".join(map(repr, traj.iterates[0].ravel().tolist())) + "\n"
+    assert lines[-1].endswith(f" {float(traj.iterates[-1, -1, -1])!r}\n")
+    assert peak < 8 * 2**20
 
 
 def test_manifest_rerun_reproduces_csvs(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -53,6 +55,20 @@ def test_logistic_frozen_at_origin():
 def test_logistic_rejects_bad_labels():
     with pytest.raises(ValueError):
         Logistic(G, np.zeros(12))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LeastSquares(G, H[:-1]), "row count of G must match length of h"),
+    (lambda: Logistic(G, LABELS[:-1]), "feature rows must match label count"),
+    (lambda: HuberScalar(0), "eps must be positive"),
+    (lambda: HuberMatrix([0, 1], [1.0], 1.0, (2, 2)),
+     "observed must be a list of (row, col) pairs"),
+    (lambda: HuberMatrix([(0, 0)], [1.0, 2.0], 1.0, (1, 1)),
+     "ratings count must match observed count"),
+], ids=["least-squares", "logistic", "huber-scalar", "huber-pairs", "huber-ratings"])
+def test_constructors_check_shapes(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_logistic_extreme_margins_stay_finite():

@@ -1,10 +1,12 @@
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from rkfw import TABLEAU_NAMES
+from rkfw import TABLEAU_NAMES, SolverConfig, make_tableau, run, zigzag_energy
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -41,6 +43,45 @@ def test_variant_study_counts_value_calls(monkeypatch, capsys):
     # plain and momentum runs evaluate f once per row: 6 rows over 5 iterations
     assert calls[("euler", "plain")] == calls[("euler", "momentum")] == 6 / 5
     assert calls[("euler", "line_search")] > 0
+
+
+def test_zigzag_study_streams_the_recorded_table(monkeypatch, capsys):
+    script = _load(SCRIPTS / "zigzag_study.py")
+    monkeypatch.setattr(sys, "argv", ["zigzag_study.py", "--horizon", "20"])
+    script.main()
+    streamed = capsys.readouterr().out
+    assert len(streamed.splitlines()) == 8
+
+    def recorded(problem, name, delta, horizon):
+        cfg = SolverConfig(tableau=make_tableau(name), c=2.0, delta=delta,
+                           max_iters=int(round(horizon / delta)), record_iterates=True)
+        traj = run(problem, cfg)
+        return tuple(zigzag_energy(traj.iterates, w).mean() for w in (5, 20))
+
+    monkeypatch.setattr(script, "energies", recorded)
+    script.main()
+    assert capsys.readouterr().out == streamed
+
+
+def test_linecov_lists_the_lines_no_test_ran(tmp_path):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    tiny = lib / "tiny.py"
+    tiny.write_text('"""A sign."""\n\n\ndef sign(x):\n'
+                    "    if x < 0:\n        return -1\n    return 1\n")
+    (tmp_path / "test_tiny.py").write_text(
+        "import tiny\n\n\ndef test_positive():\n    assert tiny.sign(2) == 1\n")
+    # pytest runs in the script's own process, as the traced run must
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "linecov.py"), "--src", str(lib), "-q",
+         "-p", "no:cacheprovider", "test_tiny.py"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(lib)),
+        capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-3:] == [
+        f"{tiny.resolve()}: 1 of 5 lines not run",
+        "  6: return -1",
+        "total: 1 of 5 lines not run; pytest exit code 0",
+    ]
 
 
 def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):

@@ -211,6 +211,10 @@ def test_load_tableau_file_roundtrip(tmp_path):
 
 def test_load_tableau_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
+    for empty in ("", "\n  \n"):
+        p.write_text(empty)
+        with pytest.raises(ValueError, match="bad.txt: empty tableau file$"):
+            load_tableau_file(p)
     p.write_text("2\n0 0\n0.5 0\n0 1\n")
     with pytest.raises(ValueError, match="expected 5 lines"):
         load_tableau_file(p)
