@@ -358,9 +358,9 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
     run_dir = out_root / _run_name(solver_cfg)
     run_dir.mkdir(exist_ok=True)
     # a rerun replaces the last run's files, the manifest first: none outlives it
-    for p in ("manifest.txt", "traj.csv", "iterates.txt", "tae.csv",
-              *run_dir.glob("zigzag_w*.csv")):
-        (run_dir / p).unlink(missing_ok=True)
+    for p in [run_dir / name for name in ("manifest.txt", "traj.csv", "iterates.txt",
+                                          "tae.csv")] + sorted(run_dir.glob("zigzag_w*.csv")):
+        p.unlink(missing_ok=True)
     write_blocks(run_dir / "traj.csv", traj_csv(traj))
     if cfg.record_iterates:
         write_blocks(run_dir / "iterates.txt", iterates_txt(traj))
@@ -372,11 +372,9 @@ def _one_run(problem, solver_cfg: SolverConfig, cfg: ExperimentConfig,
     single = dataclasses.replace(cfg, tableau=(solver_cfg.tableau.name,),
                                  out_dir=str(out_root))
     (run_dir / "manifest.txt").write_text(f"# rkfw {__version__}\n" + render(single))
-    # the run's best f, and its summary.csv row up to f_star_proxy
-    best_f = float(traj.fs.min())
-    return best_f, (f"{run_dir.name},{solver_cfg.tableau.name},{solver_cfg.variant},"
-                    f"{float(traj.fs[-1])!r},{best_f!r},{float(traj.gaps[-1])!r},"
-                    f"{float(traj.violations.max())!r}")
+    # run, tableau, variant, final_f, best_f, final_gap, max_violation
+    return (run_dir.name, solver_cfg.tableau.name, solver_cfg.variant, float(traj.fs[-1]),
+            float(traj.fs.min()), float(traj.gaps[-1]), float(traj.violations.max()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -389,11 +387,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "summary.csv").unlink(missing_ok=True)  # a summary is of its own sweep's runs
-    runs = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
-    if len(runs) > 1:
-        f_star_proxy = min(best_f for best_f, _ in runs)
+    rows = [_one_run(problem, sc, cfg, out_root) for sc in solver_cfgs]
+    if len(rows) > 1:
+        f_star_proxy = min(r[4] for r in rows)  # best_f
         write_blocks(out_root / "summary.csv", [
             "# f_star_proxy is the min f over these runs, not a true optimum\n",
             "run,tableau,variant,final_f,best_f,final_gap,max_violation,f_star_proxy\n",
-            *(f"{row},{f_star_proxy!r}\n" for _, row in runs)])
+            *(f"{run},{tab},{var},{ff!r},{bf!r},{gap!r},{viol!r},{f_star_proxy!r}\n"
+              for run, tab, var, ff, bf, gap, viol in rows)])
     return 0

@@ -342,18 +342,28 @@ def _failing_reference(*args, **kwargs):
     raise ArithmeticError("reference failed")
 
 
-def test_rerun_writes_only_its_own_files(tmp_path):
-    run_dir = tmp_path / "euler_plain"
+def _check_rerun_writes_only_its_own_files(out_dir, run_dir):
     run_dir.mkdir()
     (run_dir / "notes.txt").write_text("kept\n")
     run_experiment(ExperimentConfig(problem="triangle", iters=40, delta=0.1, ref_delta=0.01,
-                                    record_iterates=True, out_dir=str(tmp_path)))
+                                    record_iterates=True, out_dir=out_dir))
     assert {"iterates.txt", "tae.csv", "zigzag_w20.csv"} <= set(os.listdir(run_dir))
     run_experiment(ExperimentConfig(problem="triangle", iters=40, windows=(5,),
-                                    out_dir=str(tmp_path)))
+                                    out_dir=out_dir))
     assert sorted(os.listdir(run_dir)) == ["manifest.txt", "notes.txt", "traj.csv",
                                            "zigzag_w5.csv"]
     assert parse_config((run_dir / "manifest.txt").read_text()).windows == (5,)
+
+
+def test_rerun_writes_only_its_own_files(tmp_path):
+    _check_rerun_writes_only_its_own_files(str(tmp_path), tmp_path / "euler_plain")
+
+
+def test_rerun_under_a_relative_out_dir_writes_only_its_own_files(tmp_path, monkeypatch):
+    # the default out_dir, "runs", is relative; the old files' paths are found under it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    _check_rerun_writes_only_its_own_files("runs", tmp_path / "runs" / "euler_plain")
 
 
 def test_rerun_with_failed_reference_leaves_no_old_manifest(tmp_path, monkeypatch):
