@@ -4,7 +4,10 @@ Each sweep runs in a fresh process: `rkfw.cli.main(["sweep", ...])` on the
 config with `iters` replaced and `out_dir` a temporary directory, started
 in the current directory, so relative `data` and `tableau` paths read as
 in `rkfw sweep`. The process reports its VmHWM, the peak resident set of
-its own memory, once after importing rkfw and once after the sweep. Memory
+its own memory, once after importing rkfw and once after the sweep, and at
+the end of the sweep its resident file-backed pages (RssFile: mapped code
+and data such as LAPACK's) and anonymous ones (RssAnon: the heap), so a
+change in the peak can be read as one kind of page or the other. Memory
 that a run keeps per iteration shows as a peak that grows with `iters`; a
 run that keeps nothing per row and coordinate reads about the same at all
 three lengths. With several `--src` trees (for example the parent's `src/`
@@ -26,14 +29,13 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def vmhwm_mb():
-    """VmHWM of this process in MiB (Linux), not ru_maxrss, which a child
+def status_mb():
+    """The kB fields of /proc/self/status (Linux) in MiB, by name. VmHWM is
+    this process's peak resident set, unlike ru_maxrss, which a child
     inherits from its parent through exec."""
     with open("/proc/self/status") as f:
-        for line in f:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024
-    raise RuntimeError("no VmHWM in /proc/self/status")
+        fields = (line.split(":", 1) for line in f)
+        return {key: int(v.split()[0]) / 1024 for key, v in fields if v.endswith(" kB\n")}
 
 
 def _child(config, iters, tmp):
@@ -42,18 +44,21 @@ def _child(config, iters, tmp):
     import rkfw.cli
     from rkfw.harness import parse_config, render
 
-    imported = vmhwm_mb()
+    imported = status_mb()["VmHWM"]
     cfg = dataclasses.replace(parse_config(Path(config).read_text(encoding="utf-8")),
                               iters=iters, out_dir=str(Path(tmp) / "out"))
     path = Path(tmp) / "sweep.cfg"
     path.write_text(render(cfg))
     rc = rkfw.cli.main(["sweep", "--config", str(path)])
-    print(json.dumps({"rc": rc, "imported_mb": imported, "peak_mb": vmhwm_mb()}))
+    status = status_mb()
+    print(json.dumps({"rc": rc, "imported_mb": imported, "peak_mb": status["VmHWM"],
+                      "file_mb": status["RssFile"], "anon_mb": status["RssAnon"]}))
 
 
 def measure(config, iters, src):
-    """{rc, imported_mb, peak_mb} of one fresh-process sweep of the config
-    file at `iters` iterations, importing rkfw from `src`."""
+    """{rc, imported_mb, peak_mb, file_mb, anon_mb} of one fresh-process
+    sweep of the config file at `iters` iterations, importing rkfw from
+    `src`."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         out = subprocess.run(
@@ -71,14 +76,16 @@ def main(argv=None):
                          "trees (default: this checkout's src/)")
     args = ap.parse_args(argv)
     srcs = args.src or [DEFAULT_SRC]
-    print(f"iters {'tree':>24s}  after import (MiB)  peak (MiB)  peak - import (MiB)")
+    print(f"iters {'tree':>24s}  after import (MiB)  peak (MiB)  peak - import (MiB)"
+          "  file (MiB)  anon (MiB)")
     for iters in (args.iters, 4 * args.iters, 16 * args.iters):
         for src in srcs:
             r = measure(args.config, iters, src)
             if r["rc"] != 0:
                 raise SystemExit(f"the sweep of {src} at iters = {iters} exited {r['rc']}")
             print(f"{iters:5d} {str(src)[-24:]:>24s} {r['imported_mb']:19.2f} "
-                  f"{r['peak_mb']:11.2f} {r['peak_mb'] - r['imported_mb']:20.2f}")
+                  f"{r['peak_mb']:11.2f} {r['peak_mb'] - r['imported_mb']:20.2f} "
+                  f"{r['file_mb']:11.2f} {r['anon_mb']:11.2f}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ writes into an atom copies it first.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -91,16 +92,19 @@ class L1Ball:
         return _excess(np.abs(x).sum() - self.alpha)
 
 
+_HULL_TOL = 4 * sys.float_info.epsilon  # times N: matrix_rank's N eps, times 4 (README)
+
+
 class VertexHull:
     """Convex hull of an explicit vertex list.
 
     The hull must be a simplex: n+1 affinely independent vertices in n
-    dimensions, checked when built. Then a point's barycentric coordinates,
-    the solution c of [vertices^T; 1^T] c = [x; 1], are unique, and the
-    system's inverse is built once as barycentric_inverse, with its split
-    columns, which give c without building [x; 1]. Membership reports the
-    most negative coordinate, snapped to 0.0 below 1e-12; no residual
-    enters, so the answer does not grow with the hull's scale.
+    dimensions. Then a point's barycentric coordinates, the solution c of
+    [vertices^T; 1^T] c = [x; 1], are unique, and the system's inverse is
+    built once as barycentric_inverse, with its split columns, which give c
+    without building [x; 1]; the same solve checks the hull. Membership
+    reports the most negative coordinate, snapped to 0.0 below 1e-12; no
+    residual enters, so the answer does not grow with the hull's scale.
     vertices is a read-only copy, and lmo answers with its rows.
     """
 
@@ -113,12 +117,16 @@ class VertexHull:
             raise ValueError(f"non-simplex hull: {len(vs)} vertices in {n} "
                              f"dimensions, need {n + 1}")
         m = np.vstack([vs.T, np.ones(len(vs))])
-        if np.linalg.matrix_rank(m) < len(vs):
+        try:
+            inv = np.linalg.solve(m, np.eye(len(vs)))
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            inv = np.full_like(m, np.inf)
+        # ||m||_F ||inv||_F >= cond_2(m), so no SVD is needed (README)
+        if not np.linalg.norm(m) * np.linalg.norm(inv) * len(vs) * _HULL_TOL < 1.0:
             raise ValueError("degenerate hull: the vertices are affinely dependent")
         vs.flags.writeable = False  # before the row views, which inherit it
         self.vertices = vs
         self._rows = tuple(vs)
-        inv = np.linalg.solve(m, np.eye(len(vs)))
         self.barycentric_inverse = inv
         self._inv_x, self._inv_1 = inv[:, :-1], inv[:, -1]
 

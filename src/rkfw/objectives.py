@@ -4,13 +4,14 @@ The two quadratics also give along(x, d): the exact coefficients of f
 restricted to the line through x along d, with a bound on the rounding of
 evaluated differences; the line search reads its sign tests from them.
 
-The oracles are pure, and immutable apart from LeastSquares' cache of its
-last residual. check_gradient compares the analytic gradient against
+The oracles are pure, and immutable apart from LeastSquares' store of its
+last few residuals. check_gradient compares the analytic gradient against
 central finite differences; the tests use it as an oracle.
 """
 
 import math
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -18,6 +19,9 @@ __all__ = [
     "DistanceSq", "LeastSquares", "Logistic", "HuberScalar", "HuberMatrix",
     "check_gradient",
 ]
+
+
+_RESIDUALS = 8  # residuals a LeastSquares keeps for along; sized by counting misses
 
 
 def _norm(v):
@@ -79,11 +83,12 @@ class LeastSquares:
     per call use ndarray.dot, which rounds as @ does without matmul's
     dispatch.
 
-    value and along store the residual r = G x - h they form, with the
-    bytes of x and r.r, in one slot. along reuses r and r.r when its x has
-    the same bytes, and forms them afresh otherwise; equal bytes give the
-    same r, so the slot changes no result. A run's line search calls along
-    at the point whose row value just evaluated, so it mostly hits.
+    value and along store each residual r = G x - h they form, with the
+    bytes of x and r.r, in a first-in, first-out store of the last
+    _RESIDUALS. along reuses r and r.r when its x has the bytes of a stored
+    x, and forms them afresh otherwise; equal bytes give the same r, so the
+    store changes no result. A run's line search calls along at the point
+    the previous search chose, which it evaluated a few value calls before.
     """
 
     def __init__(self, g, h):
@@ -95,13 +100,13 @@ class LeastSquares:
         self._h_norm = float(np.linalg.norm(self.h))
         self._gram = self.g.T @ self.g
         self._gt_h = self.g.T @ self.h
-        self._residual = None, None, None  # bytes of x, G x - h, r.r: last call
+        self._residuals = deque(maxlen=_RESIDUALS)  # (bytes of x, G x - h, r.r)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
         r = self.g.dot(x) - self.h
         rr = r.dot(r)
-        self._residual = x.tobytes(), r, rr
+        self._residuals.append((x.tobytes(), r, rr))
         return 0.5 * float(rr)
 
     def gradient(self, x):
@@ -115,10 +120,13 @@ class LeastSquares:
         # ||G||_F ||x + t d|| + ||h|| bounds the terms summed into G(x + t d) - h
         terms = self._g_norm * (_norm(x) + _norm(d)) + self._h_norm
         key = x.tobytes()
-        if self._residual[0] != key:
+        for stored, r, rr in self._residuals:
+            if stored == key:
+                break
+        else:
             r = self.g.dot(x) - self.h
-            self._residual = key, r, r.dot(r)
-        _, r, rr = self._residual
+            rr = r.dot(r)
+            self._residuals.append((key, r, rr))
         return _line_model(r, rr, self.g.dot(d), terms,
                            self.g.shape[0] + self.g.shape[1] + 3)
 

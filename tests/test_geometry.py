@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from rkfw import geometry
 from rkfw.geometry import (Box, DenseAtom, L1Ball, NuclearBall,
                            PowerIterationError, VertexHull, _top_singular_pair)
+from rkfw.harness import ExperimentConfig, run_experiment
+from rkfw.problems import TRIANGLE_VERTICES, make_triangle
 
 TRIANGLE = [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -109,6 +111,66 @@ def test_hull_rejects_non_finite_or_flat_vertices(vertices):
 def test_hull_rejects_degenerate_at_construction():
     with pytest.raises(ValueError, match="degenerate hull"):
         VertexHull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("an SVD was called")
+
+
+def test_triangle_sweep_calls_no_svd(tmp_path, monkeypatch):
+    # the hull checks itself from the LU solve that builds its inverse, so
+    # a triangle sweep never loads LAPACK's SVD code
+    monkeypatch.setattr(np.linalg, "matrix_rank", _no_svd)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    make_triangle()
+    VertexHull(TRIANGLE_VERTICES)
+    cfg = ExperimentConfig(problem="triangle", tableau=("euler", "rk44"), iters=20,
+                           delta=0.1, ref_delta=0.01, out_dir=str(tmp_path))
+    assert run_experiment(cfg) == 0
+    assert (tmp_path / "rk44_plain" / "tae.csv").exists()
+
+
+def _degenerate_simplices(n, rng):
+    """n + 1 affinely dependent vertices in n dimensions: two coincident,
+    all on a line, one on the span of the others, and (n = 3) all on a plane."""
+    base = rng.standard_normal((n + 1, n))
+    coincident = base.copy()
+    coincident[1] = coincident[0]
+    line = base[0] + rng.standard_normal(n + 1)[:, None] * base[1]
+    spanned = base.copy()
+    spanned[n] = rng.dirichlet(np.ones(n)) @ base[:n]
+    cases = [coincident, line, spanned]
+    if n == 3:
+        plane = rng.standard_normal((n + 1, 2))
+        cases.append(base[0] + plane @ base[1:3])
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hull_rejects_every_simplex_matrix_rank_rejects(n):
+    # ||m||_F ||m^-1||_F bounds the condition number from above, and the
+    # factor over matrix_rank's N eps covers where the LU and the SVD round
+    # apart: exactly dependent vertices, and vertices perturbed off them by
+    # 1e-15 to 1e-12, are rejected wherever the SVD's rank test rejects them
+    rng = np.random.default_rng(29 + n)
+    ranks = []
+    for _ in range(300):
+        for vs in _degenerate_simplices(n, rng):
+            for size in (0.0, 1e-15, 1e-14, 1e-13, 1e-12):
+                v = vs + size * rng.standard_normal(vs.shape)
+                ranks.append(np.linalg.matrix_rank(np.vstack([v.T, np.ones(n + 1)])))
+                if ranks[-1] == n + 1:
+                    continue
+                with pytest.raises(ValueError, match="^degenerate hull: the "
+                                   "vertices are affinely dependent$"):
+                    VertexHull(v)
+    # the draws straddle the rank test's boundary
+    assert min(ranks.count(n + 1), len(ranks) - ranks.count(n + 1)) > 1000
+
+
+def test_triangle_inverse_keeps_its_bytes():
+    expected = np.array([[-0.5, -0.5, 0.5], [0.5, -0.5, 0.5], [0.0, 1.0, 0.0]])
+    assert VertexHull(TRIANGLE_VERTICES).barycentric_inverse.tobytes() == expected.tobytes()
 
 
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -219,7 +281,7 @@ def test_hull_membership_matches_lstsq(seed, n):
 AROUND_ORIGIN = [(-1.0, -1.0), (1.0, -0.7), (0.1, 1.0)]
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3, 1e5, 1e8])
 @pytest.mark.parametrize("base", [TRIANGLE, AROUND_ORIGIN],
                          ids=["triangle", "around-origin"])
 def test_hull_membership_is_scale_free(base, scale):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rkfw.objectives import (DistanceSq, HuberMatrix, HuberScalar,
+from rkfw.objectives import (_RESIDUALS, DistanceSq, HuberMatrix, HuberScalar,
                              LeastSquares, Logistic, check_gradient)
 
 rng0 = np.random.default_rng(0)
@@ -235,11 +235,13 @@ class DotCounted(np.ndarray):
 @pytest.mark.parametrize("case,hit", [
     ("value at x", True), ("value at an equal copy", True),
     ("value at x, then x changed in place", False), ("value elsewhere", False),
+    ("value at x, then value elsewhere", True),
+    ("value at x, then _RESIDUALS values elsewhere", False),
 ])
 def test_least_squares_along_reuses_only_the_residual_at_its_x(case, hit):
-    # along reuses the residual of the last value call when its x has the
-    # same bytes, and otherwise forms it: in every case the answer is the
-    # fresh instance's, byte for byte
+    # along reuses the residual of one of the last _RESIDUALS value calls
+    # when its x has the same bytes, and otherwise forms it: in every case
+    # the answer is the fresh instance's, byte for byte
     rng = np.random.default_rng(11)
     g, h = rng.standard_normal((50, 10)), rng.standard_normal(50)
     x, d = rng.standard_normal(10), rng.standard_normal(10)
@@ -251,14 +253,30 @@ def test_least_squares_along_reuses_only_the_residual_at_its_x(case, hit):
     elif case == "value at x, then x changed in place":
         obj.value(x)
         x[3] += 0.5
-    else:
+    elif case == "value elsewhere":
         obj.value(x + 1.0)
+    else:
+        obj.value(x)
+        others = 1 if case == "value at x, then value elsewhere" else _RESIDUALS
+        for i in range(others):
+            obj.value(x + (i + 1.0))
     obj.g = obj.g.view(DotCounted)
     obj.g.products = 0
     got = obj.along(x, d)
     assert np.array(got).tobytes() == np.array(LeastSquares(g, h).along(x, d)).tobytes()
     # G d always, and G x only when the residual was not reused
     assert obj.g.products == (1 if hit else 2)
-    # along fills the slot too: a second call at x reuses its residual
+    # along stores its residual too: a second call at x reuses it
     assert np.array(obj.along(x, d)).tobytes() == np.array(got).tobytes()
     assert obj.g.products == (2 if hit else 3)
+
+
+def test_least_squares_keeps_a_fixed_number_of_residuals():
+    # a run that never calls along still stores each value call's residual:
+    # the store holds the last _RESIDUALS, however many calls came before
+    rng = np.random.default_rng(12)
+    obj = LeastSquares(rng.standard_normal((50, 10)), rng.standard_normal(50))
+    xs = rng.standard_normal((3 * _RESIDUALS, 10))
+    for x in xs:
+        obj.value(x)
+    assert [key for key, _, _ in obj._residuals] == [x.tobytes() for x in xs[-_RESIDUALS:]]

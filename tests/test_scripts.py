@@ -114,8 +114,12 @@ def _peak_rss_rows(tmp_path, monkeypatch, capsys, srcs):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["iters", "tree"]
     for row in rows:
-        imported, peak, _ = map(float, row.split()[2:])
+        imported, peak, grown, file, anon = map(float, row.split()[2:])
         assert 0.0 < imported <= peak
+        assert grown == pytest.approx(peak - imported, abs=0.011)
+        # the resident pages at the end of the sweep, file-backed and
+        # anonymous, are at most the peak and hold the interpreter's code
+        assert 0.0 < file and 0.0 < anon and file + anon <= peak + 0.011
     return [(int(row.split()[0]), row.split()[1]) for row in rows], script.DEFAULT_SRC
 
 
