@@ -10,6 +10,7 @@ sweep    config-driven multi-run with a comparison summary
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_zigzag(args) -> int:
-    pts = np.loadtxt(args.iterates, ndmin=2)
+    with warnings.catch_warnings():
+        # a file with no rows gets its own error line from zigzag_energy
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        pts = np.loadtxt(args.iterates, ndmin=2)
     write_blocks(args.out, zigzag_csv(zigzag_energy(pts, args.window), args.window))
     return 0
 

@@ -13,7 +13,7 @@ __all__ = [
 
 
 # Most floats one pass of zigzag_energy's block arithmetic holds in one
-# array; it also sizes each ZigzagWindow's buffer, one pass of rows.
+# array; it also sizes each ZigzagWindow's buffer, whose rows are one pass.
 _PASS_FLOATS = 8192
 
 
@@ -35,19 +35,14 @@ def zigzag_energy(iterates, window: int) -> np.ndarray:
     (1, n) @ (n, 1) matmul, and each block's step norms are added left to
     right from 0.0, so the energies are bit-identical to a per-step loop.
     Non-finite iterates give nan or inf energies and no RuntimeWarning.
+    Every ZigzagWindow pass is computed here.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
     pts = np.asarray(iterates, dtype=float)
     if len(pts) < window + 1:
         raise ValueError(f"need at least {window + 1} iterates, got {len(pts)}")
-    return _block_energies(pts.reshape(len(pts), -1), window)
-
-
-def _block_energies(pts, window: int) -> np.ndarray:
-    """zigzag_energy of the (rows, n) float array pts, at least one row,
-    window >= 2: one energy per complete block, none for `window` rows or
-    fewer."""
+    pts = pts.reshape(len(pts), -1)
     n = pts.shape[1]
     # Row pitch: every vector handed to ddot starts 16-byte aligned, as the
     # fresh array of a per-step product does; some ddot kernels (Prescott)
@@ -87,10 +82,10 @@ class ZigzagWindow:
     so far, byte for byte (an empty array for fewer than window + 1).
 
     The window is the only buffer of its points: one array of
-    per_pass * window + 1 rows, exactly one pass of zigzag_energy's block
-    arithmetic. Each point is copied into it; when it fills, the pass runs
-    and its closing row becomes the first row of the next block. A caller
-    may overwrite a point once the call returns.
+    per_pass * window + 1 rows, exactly one pass of zigzag_energy, which it
+    is handed when it fills; its closing row then opens the next block, and
+    energies() hands over the unfinished rows. A caller may overwrite a
+    point once the call returns.
     """
 
     def __init__(self, window: int):
@@ -110,15 +105,14 @@ class ZigzagWindow:
         rows[self._held] = x
         self._held += 1
         if self._held == len(rows):
-            self._done.append(_block_energies(rows.reshape(len(rows), -1), self.window))
+            self._done.append(zigzag_energy(rows, self.window))
             rows[0] = rows[-1]
             self._held = 1
 
     def energies(self) -> np.ndarray:
         done = self._done
         if self._held > self.window:
-            part = self._rows[:self._held]
-            done = done + [_block_energies(part.reshape(len(part), -1), self.window)]
+            done = done + [zigzag_energy(self._rows[:self._held], self.window)]
         return np.concatenate(done) if done else np.empty(0)
 
 

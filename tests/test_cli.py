@@ -1,5 +1,8 @@
 import argparse
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -366,6 +369,23 @@ def test_zigzag_window_too_large(tmp_path, capsys):
     it.write_text("0 0\n1 1\n")
     assert main(["zigzag", "--iterates", str(it), "--window", "5"]) == 1
     assert "need at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", " \n\n\t\n", "# no iterates\n# at all\n"],
+                         ids=["empty", "blank", "comments"])
+def test_zigzag_of_no_rows_is_one_error_line(tmp_path, text):
+    # a child process, because pytest catches warnings before they reach stderr
+    it = tmp_path / "it.txt"
+    it.write_text(text)
+    src = str(Path(rkfw.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    code = "import sys; from rkfw.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", code, "zigzag", "--iterates", str(it), "--window", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1
+    assert child.stderr == "error: need at least 3 iterates, got 0\n"
 
 
 def test_tae_stdout(capsys):

@@ -271,6 +271,32 @@ def test_run_streams_windows_as_zigzag_energy_reads_the_record(shape, pass_float
             assert b.energies().tobytes() == want.tobytes(), (n_rows, w)
 
 
+@pytest.mark.parametrize("iters", [400, 407, 430])
+def test_windows_compute_through_zigzag_energy(iters, monkeypatch):
+    # every pass a window makes goes through the module's zigzag_energy, so
+    # patching it there sees them all: at n = 100 a pass of either window is
+    # 81 rows (16 blocks of 5, 4 of 20), so 401 points fill exactly five
+    calls = []
+
+    def spy(iterates, window):
+        calls.append((window, len(iterates)))
+        return zigzag_energy(iterates, window)
+
+    monkeypatch.setattr(diagnostics, "zigzag_energy", spy)
+    windows = [ZigzagWindow(5), ZigzagWindow(20)]
+    cfg = SolverConfig(tableau=make_tableau("euler"), max_iters=iters,
+                       record_iterates=True)
+    rec = run(make_sensing(m=30, n=100, alpha=20.0, seed=1), cfg, windows).iterates
+    assert calls == [(w, 81) for _ in range(5) for w in (5, 20)]
+    held = iters - 400 + 1  # rows of the unfinished pass
+    for zz in windows:
+        calls.clear()
+        got = zz.energies()
+        assert zz.energies().tobytes() == got.tobytes()
+        assert calls == ([(zz.window, held)] * 2 if held > zz.window else [])
+        assert got.tobytes() == zigzag_energy(rec, zz.window).tobytes()
+
+
 def test_windows_only_run_keeps_no_iterates():
     # a record would add 100 floats a row; the run's own columns (k, t, f,
     # gap, step norm, violation, wall) and the energies add under 16
