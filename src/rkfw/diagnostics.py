@@ -125,7 +125,8 @@ def fit_rate_slope(values, k_min: int, k_max: int) -> float:
     """Least-squares slope of log values[k] against log k over [k_min, k_max].
 
     values is indexed by iteration (values[k] belongs to k), so a pure
-    power law a * k^(-r) comes back as slope -r.
+    power law a * k^(-r) comes back as slope -r. A nonpositive or
+    non-finite value in the range raises ValueError naming its k.
     """
     v = np.asarray(values, dtype=float)
     if not 1 <= k_min < k_max < len(v):
@@ -135,6 +136,9 @@ def fit_rate_slope(values, k_min: int, k_max: int) -> float:
     nonpos = np.nonzero(seg <= 0.0)[0]
     if nonpos.size:
         raise ValueError(f"nonpositive value at k={int(ks[nonpos[0]])}")
+    nonfin = np.nonzero(~np.isfinite(seg))[0]
+    if nonfin.size:
+        raise ValueError(f"non-finite value at k={int(ks[nonfin[0]])}")
     slope, _ = np.polyfit(np.log(ks), np.log(seg), 1)
     return float(slope)
 
@@ -159,11 +163,12 @@ def decrease_bound_check(traj, d4: float, c: float):
 
     Checks h(k+1) - h(k) <= -gamma h(k) + d4 gamma^2 + 1e-9 with
     gamma = c/(c + k + 1) and h the objective above the known optimum.
+    A row whose test reads NaN (h NaN, or inf - inf) counts as failing.
     """
     h = traj.h()
     out = []
     for k in range(1, len(h) - 1):
         gamma = c / (c + k + 1)
-        if h[k + 1] - h[k] > -gamma * h[k] + d4 * gamma * gamma + 1e-9:
+        if not h[k + 1] - h[k] <= -gamma * h[k] + d4 * gamma * gamma + 1e-9:
             out.append(k)
     return out

@@ -92,8 +92,9 @@ def total_accumulation_error(traj, ref):
     Both are Trajectory records with iterates. Returns a list of (t, error)
     at every trajectory sample time, the reference interpolated linearly per
     coordinate. The reference must be at least 10x finer than the trajectory
-    step, unless its sample grid already contains every trajectory time
-    exactly (which covers comparing a run against itself).
+    step, unless its sample grid already contains every trajectory time, to
+    within |t - r| <= 1e-12 + 1e-5 r of a grid time r (which covers comparing
+    a run against itself).
     """
     for name, arg in (("trajectory", traj), ("reference", ref)):
         if arg.iterates is None:

@@ -10,7 +10,6 @@ most `_BLOCK_VALUES` values that `write_blocks` writes.
 import dataclasses
 import os
 import sys
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
@@ -200,9 +199,6 @@ def load_svmlight(path):
             labels.append(-1.0 if lab == 0.0 else lab)
             rows.append(entries)
             width = max(width, 1 + max(entries, default=-1))
-    if not rows:
-        warnings.warn(f"{path}: empty svmlight file")
-        return np.zeros((0, 0)), np.zeros(0)
     features = np.zeros((len(rows), width))
     for i, entries in enumerate(rows):
         for j, v in entries.items():
@@ -244,6 +240,8 @@ def load_movielens(path):
 
 
 def build_problem(cfg: ExperimentConfig):
+    if cfg.data is not None and not os.path.exists(cfg.data):
+        raise FileNotFoundError(f"data file not found: {cfg.data}")
     name = cfg.problem
     if name == "triangle":
         return make_triangle(cfg.x_star)
@@ -381,8 +379,6 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Fan a config out into runs; write artifacts under cfg.out_dir."""
     render(cfg)  # a value no manifest can hold fails here, before any run
     solver_cfgs = solver_configs(cfg)
-    if cfg.data is not None and not os.path.exists(cfg.data):
-        raise FileNotFoundError(f"data file not found: {cfg.data}")
     problem = build_problem(cfg)
     out_root = Path(cfg.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -247,9 +247,10 @@ def check_gradient(objective, points):
 
     Points within 10*_FD_STEP of a known nondifferentiability surface are
     skipped (central differences are invalid there). Returns the max over
-    all checked points and coordinates.
+    all checked points and coordinates (0.0 if every point is skipped); a
+    NaN error anywhere comes back as NaN rather than being passed over.
     """
-    worst = 0.0
+    errs = []
     for x in points:
         x = np.asarray(x, dtype=float)
         if hasattr(objective, "kink_distance") and objective.kink_distance(x) < 10 * _FD_STEP:
@@ -263,6 +264,5 @@ def check_gradient(objective, points):
             fp = objective.value((flat + e).reshape(x.shape))
             fm = objective.value((flat - e).reshape(x.shape))
             num = (fp - fm) / (2 * _FD_STEP)
-            err = abs(num - gflat[i]) / max(1.0, abs(gflat[i]))
-            worst = max(worst, err)
-    return worst
+            errs.append(abs(num - gflat[i]) / max(1.0, abs(gflat[i])))
+    return float(np.max(errs, initial=0.0))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,11 +160,84 @@ def test_logistic_without_data_fails_before_any_run(tmp_path, monkeypatch, capsy
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.svm").write_text(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the loader warns on an empty file
+        warnings.simplefilter("error")
         assert main(["solve", "--problem", "logistic", "--data", "d.svm",
                      "--iters", "3"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.svm"]
+
+
+# (config keys, files to write, the one error line every run verb gives)
+_INVALID_CONFIGS = {
+    "missing-data-triangle": ({"problem": "triangle", "data": "missing.svm"}, {},
+                              "data file not found: missing.svm"),
+    "missing-data-logistic": ({"problem": "logistic", "data": "missing.svm"}, {},
+                              "data file not found: missing.svm"),
+    "empty-svmlight": ({"problem": "logistic", "data": "d.svm"}, {"d.svm": ""},
+                       "d.svm: no rows"),
+    "comment-only-svmlight": ({"problem": "logistic", "data": "d.svm"},
+                              {"d.svm": "# no rows\n"}, "d.svm: no rows"),
+    "no-columns-svmlight": ({"problem": "logistic", "data": "d.svm"},
+                            {"d.svm": "1\n-1\n"}, "d.svm: no feature columns"),
+    "nan-svmlight": ({"problem": "logistic", "data": "d.svm"},
+                     {"d.svm": "1 1:nan 2:0.5\n"}, "line 1: non-finite value 'nan'"),
+    "empty-ratings": ({"problem": "completion", "data": "r.tsv"}, {"r.tsv": ""},
+                      "r.tsv: no ratings"),
+    "c-below-1": ({"problem": "triangle", "c": "0.5"}, {},
+                  "schedule constant c must be >= 1"),
+    "unknown-tableau": ({"problem": "triangle", "tableau": "nope"}, {},
+                        "unknown tableau 'nope'; available: euler, midpoint, rk38, rk44, rk5"),
+    "negative-seed": ({"problem": "sensing", "m": "20", "n": "5", "seed": "-1"}, {},
+                      "seed must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("verb", ["solve", "sweep", "tae"])
+@pytest.mark.parametrize("case", list(_INVALID_CONFIGS))
+def test_invalid_config_fails_alike_under_every_verb(tmp_path, monkeypatch, capsys,
+                                                     case, verb):
+    # the data path was checked only on the run_experiment path, so tae ran a
+    # triangle with a missing data file and read a missing svmlight file itself
+    keys, files, message = _INVALID_CONFIGS[case]
+    keys = {**keys, "iters": "3"}
+    monkeypatch.chdir(tmp_path)
+    if verb == "sweep":
+        files = {**files, "x.cfg": "".join(f"{k} = {v}\n" for k, v in keys.items())}
+        argv = ["sweep", "--config", "x.cfg"]
+    else:
+        argv = [verb, *chain.from_iterable(
+            (f"--{k.replace('_', '-')}", v) for k, v in keys.items())]
+        if verb == "tae":
+            argv += ["--ref-delta", "0.1"]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def _main_in_child(*argv, cwd):
+    """`main(argv)` in a child process run in cwd: pytest catches warnings
+    before they reach stderr, so only a child shows what a user sees."""
+    src = str(Path(rkfw.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    code = "import sys; from rkfw.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_empty_svmlight_file_is_one_error_line(tmp_path):
+    # the loader used to print a two-line UserWarning before the error
+    (tmp_path / "e.svm").write_text("")
+    child = _main_in_child("solve", "--problem", "logistic", "--data", "e.svm",
+                           "--iters", "3", cwd=tmp_path)
+    assert child.returncode == 1
+    assert child.stdout == "" and child.stderr == "error: e.svm: no rows\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["e.svm"]
 
 
 def test_power_iteration_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
@@ -374,16 +448,10 @@ def test_zigzag_window_too_large(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["", " \n\n\t\n", "# no iterates\n# at all\n"],
                          ids=["empty", "blank", "comments"])
 def test_zigzag_of_no_rows_is_one_error_line(tmp_path, text):
-    # a child process, because pytest catches warnings before they reach stderr
     it = tmp_path / "it.txt"
     it.write_text(text)
-    src = str(Path(rkfw.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
-    code = "import sys; from rkfw.cli import main; sys.exit(main(sys.argv[1:]))"
-    child = subprocess.run(
-        [sys.executable, "-c", code, "zigzag", "--iterates", str(it), "--window", "2"],
-        env=env, capture_output=True, text=True, timeout=120)
+    child = _main_in_child("zigzag", "--iterates", str(it), "--window", "2",
+                           cwd=tmp_path)
     assert child.returncode == 1
     assert child.stderr == "error: need at least 3 iterates, got 0\n"
 

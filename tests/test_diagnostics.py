@@ -360,6 +360,16 @@ def test_fit_rate_slope_errors():
         fit_rate_slope(vals, 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rate_slope_rejects_non_finite(bad):
+    # polyfit used to return nan with no error
+    vals = np.array([np.nan, 1.0, 0.5, 0.25, 0.125])
+    vals[3] = bad
+    with pytest.raises(ValueError, match="non-finite value at k=3"):
+        fit_rate_slope(vals, 1, 4)
+    assert fit_rate_slope(vals, 1, 2) == pytest.approx(-1.0)  # k=3 outside the range
+
+
 def d4_formula(q, p_max, a_max, l, l2, d):
     """d4 from its documented composition, step by step."""
     c1, c2 = q * p_max, q * a_max
@@ -408,6 +418,18 @@ def test_decrease_bound_flags_stalled_series():
     d4 = 0.5  # l = 1, d2 = 1, d3 = 0
     bad = decrease_bound_check(traj, d4, c=2.0)
     assert bad == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("h4, h5", [(np.nan, 0.03), (np.inf, np.inf)], ids=["nan", "inf"])
+def test_decrease_bound_flags_non_finite_rows(h4, h5):
+    # `lhs > rhs` reads False on NaN, so these gave [] and [3]: a NaN h makes
+    # steps 3 and 4 NaN, and an h that stays inf makes step 4 inf - inf
+    p = make_triangle()
+    traj = run(p, SolverConfig(tableau=make_tableau("rk44"), max_iters=6))
+    traj.fs = traj.f_star + np.array([1.0, 0.5, 0.25, 0.125, h4, h5, 0.01])
+    d4 = 0.5  # l = 1, d2 = 1, d3 = 0
+    with np.errstate(invalid="ignore"):  # inf - inf is the row under test
+        assert decrease_bound_check(traj, d4, c=2.0) == [3, 4]
 
 
 def test_decrease_bound_needs_optimum():

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,12 +155,16 @@ def test_svmlight_errors_carry_line_numbers(tmp_path):
         load_svmlight(p)
 
 
-def test_svmlight_empty_file_warns(tmp_path):
+def test_svmlight_empty_file_reads_as_empty_arrays(tmp_path):
+    # build_problem's "no rows" is the one verdict; the loader does not warn
     p = tmp_path / "a.svm"
-    p.write_text("")
-    with pytest.warns(UserWarning, match="empty"):
-        feats, labels = load_svmlight(p)
-    assert feats.shape == (0, 0) and labels.shape == (0,)
+    for text in ("", "# a comment\n\n"):
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feats, labels = load_svmlight(p)
+        assert feats.shape == (0, 0) and labels.shape == (0,)
+        assert feats.dtype == labels.dtype == np.float64
 
 
 def test_movielens_frozen_example(tmp_path):

@@ -199,6 +199,30 @@ def test_check_gradient_skips_kink_neighborhood():
     assert check_gradient(obj, [np.array([0.5])]) == 0.0
 
 
+class _NaNGradient:
+    """x . x with a gradient that reads NaN at the coordinates in `bad`."""
+
+    def __init__(self, bad):
+        self.bad = list(bad)
+
+    def value(self, x):
+        return float(x @ x)
+
+    def gradient(self, x):
+        g = 2 * x
+        g[self.bad] = np.nan
+        return g
+
+
+@pytest.mark.parametrize("bad", [[0, 1], [0]], ids=["all-nan", "one-nan"])
+def test_check_gradient_reports_nan(bad):
+    # max(worst, nan) kept worst: all-NaN read 0.0, one NaN read the other's error
+    x = np.array([0.25, 0.5])
+    assert check_gradient(_NaNGradient([]), [x]) < 1e-6
+    assert np.isnan(check_gradient(_NaNGradient(bad), [x]))
+    assert np.isnan(check_gradient(_NaNGradient(bad), [x, np.zeros(2)]))
+
+
 @given(arrays(np.float64, (4, 3), elements=st.floats(-2, 2, allow_nan=False)))
 def test_least_squares_descent_direction(g):
     obj = LeastSquares(G, H)
