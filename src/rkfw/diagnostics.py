@@ -163,12 +163,13 @@ def decrease_bound_check(traj, d4: float, c: float):
 
     Checks h(k+1) - h(k) <= -gamma h(k) + d4 gamma^2 + 1e-9 with
     gamma = c/(c + k + 1) and h the objective above the known optimum.
-    A row whose test reads NaN (h NaN, or inf - inf) counts as failing.
+    A step from or to a non-finite h (NaN or +-inf) counts as failing.
     """
     h = traj.h()
     out = []
     for k in range(1, len(h) - 1):
         gamma = c / (c + k + 1)
-        if not h[k + 1] - h[k] <= -gamma * h[k] + d4 * gamma * gamma + 1e-9:
+        if not (np.isfinite(h[k]) and np.isfinite(h[k + 1])
+                and h[k + 1] - h[k] <= -gamma * h[k] + d4 * gamma * gamma + 1e-9):
             out.append(k)
     return out

@@ -7,6 +7,8 @@ also has an exact solution, huber_flow_exact, evaluated at the times
 directly (it cross-checks the numeric route).
 """
 
+import sys
+
 import numpy as np
 
 from .solvers import SolverConfig, Trajectory, run
@@ -49,31 +51,25 @@ def reference_steps(delta_ref: float, t_end: float) -> int:
     return n_steps
 
 
-def _check_grid(times, delta, ref_times, delta_ref):
-    """Raise ValueError unless a reference sampled at ref_times, step
-    delta_ref, can measure a trajectory sampled at times, step delta."""
-    if times[-1] > ref_times[-1] + 1e-12:
+def _check_steps(delta, span, delta_ref, ref_span):
+    """Raise ValueError unless a reference of step delta_ref over [0, ref_span]
+    can measure a trajectory of step delta over [0, span]: its step is at
+    most delta/10, or delta is a whole multiple of it to 8 eps relative, so
+    that every trajectory time k * delta is a reference grid time."""
+    if span > ref_span + 1e-12:
         raise ValueError("reference does not cover the trajectory time span")
-    if delta_ref > delta / 10 + 1e-15:
-        # np.isclose(t, r) tests |t - r| <= atol + rtol r, which for r >= 0
-        # only gets harder as r moves away from t: of the sorted ref_times,
-        # the nearest one on each side of t is the best candidate there
-        above = np.searchsorted(ref_times, times)
-        below = ref_times[np.maximum(above - 1, 0)]
-        above = ref_times[np.minimum(above, len(ref_times) - 1)]
-        on_grid = np.all(np.isclose(times, below, atol=1e-12)
-                         | np.isclose(times, above, atol=1e-12))
-        if not on_grid:
-            raise ValueError("reference step must be <= trajectory step / 10")
+    r = delta / delta_ref
+    if delta_ref > delta / 10 + 1e-15 and \
+            abs(r - max(1, round(r))) > 8 * sys.float_info.epsilon * r:
+        raise ValueError("reference step must be <= trajectory step / 10")
 
 
 def check_reference(delta_ref: float, delta: float, iters: int) -> int:
     """reference_steps for a run of iters steps of size delta, plus the
     rules total_accumulation_error applies to the pair, decided before
-    either is computed: the times are the ones run records for both."""
+    either is computed: the spans are the last times run records for both."""
     n_steps = reference_steps(delta_ref, iters * delta)
-    _check_grid(np.arange(iters + 1) * delta, delta,
-                np.arange(n_steps + 1) * delta_ref, delta_ref)
+    _check_steps(delta, iters * delta, delta_ref, n_steps * delta_ref)
     return n_steps
 
 
@@ -91,16 +87,16 @@ def total_accumulation_error(traj, ref):
 
     Both are Trajectory records with iterates. Returns a list of (t, error)
     at every trajectory sample time, the reference interpolated linearly per
-    coordinate. The reference must be at least 10x finer than the trajectory
-    step, unless its sample grid already contains every trajectory time, to
-    within |t - r| <= 1e-12 + 1e-5 r of a grid time r (which covers comparing
-    a run against itself).
+    coordinate. The reference step must be at most the trajectory step / 10,
+    or the trajectory step a whole multiple of it to 8 eps relative, so that
+    its grid holds every trajectory time (which covers comparing a run
+    against itself).
     """
     for name, arg in (("trajectory", traj), ("reference", ref)):
         if arg.iterates is None:
             raise ValueError(f"{name} has no recorded iterates")
     times = traj.ts
-    _check_grid(times, traj.delta, ref.ts, ref.delta)
+    _check_steps(traj.delta, times[-1], ref.delta, ref.ts[-1])
     states = traj.iterates.reshape(len(times), -1)
     ref_states = ref.iterates.reshape(len(ref.ts), -1)
     ref_at = np.stack([np.interp(times, ref.ts, col) for col in ref_states.T], axis=1)

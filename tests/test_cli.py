@@ -189,6 +189,9 @@ _INVALID_CONFIGS = {
                         "unknown tableau 'nope'; available: euler, midpoint, rk38, rk44, rk5"),
     "negative-seed": ({"problem": "sensing", "m": "20", "n": "5", "seed": "-1"}, {},
                       "seed must be non-negative, got -1"),
+    # 12 reference steps, 4x finer, whose times miss t = 1, 2, 3 by 4e-7 or more
+    "near-grid-reference": ({"problem": "triangle", "delta": "1", "ref_delta": "0.2500001"},
+                            {}, "reference step must be <= trajectory step / 10"),
 }
 
 
@@ -207,7 +210,7 @@ def test_invalid_config_fails_alike_under_every_verb(tmp_path, monkeypatch, caps
     else:
         argv = [verb, *chain.from_iterable(
             (f"--{k.replace('_', '-')}", v) for k, v in keys.items())]
-        if verb == "tae":
+        if verb == "tae" and "ref_delta" not in keys:
             argv += ["--ref-delta", "0.1"]
     for name, text in files.items():
         (tmp_path / name).write_text(text)

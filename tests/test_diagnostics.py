@@ -420,16 +420,21 @@ def test_decrease_bound_flags_stalled_series():
     assert bad == [1, 2, 3, 4, 5]
 
 
-@pytest.mark.parametrize("h4, h5", [(np.nan, 0.03), (np.inf, np.inf)], ids=["nan", "inf"])
-def test_decrease_bound_flags_non_finite_rows(h4, h5):
-    # `lhs > rhs` reads False on NaN, so these gave [] and [3]: a NaN h makes
-    # steps 3 and 4 NaN, and an h that stays inf makes step 4 inf - inf
+@pytest.mark.parametrize("h4, h5, want", [
+    (np.nan, 0.03, [3, 4]),
+    (np.inf, np.inf, [3, 4, 5]),
+    (np.inf, 0.03, [3, 4]),
+], ids=["nan", "inf", "inf-then-finite"])
+def test_decrease_bound_flags_non_finite_rows(h4, h5, want):
+    # every step from or to a non-finite h fails, without a numpy warning:
+    # out of an infinite h both sides of the inequality read -inf
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=make_tableau("rk44"), max_iters=6))
     traj.fs = traj.f_star + np.array([1.0, 0.5, 0.25, 0.125, h4, h5, 0.01])
     d4 = 0.5  # l = 1, d2 = 1, d3 = 0
-    with np.errstate(invalid="ignore"):  # inf - inf is the row under test
-        assert decrease_bound_check(traj, d4, c=2.0) == [3, 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decrease_bound_check(traj, d4, c=2.0) == want
 
 
 def test_decrease_bound_needs_optimum():

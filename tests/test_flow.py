@@ -1,11 +1,12 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkfw.flow import (_check_grid, absorption_time, check_reference, huber_flow_exact,
+from rkfw.flow import (_check_steps, absorption_time, check_reference, huber_flow_exact,
                        reference_steps, reference_trajectory, total_accumulation_error)
 from rkfw.problems import make_scalar_huber, make_triangle
 from rkfw.solvers import SolverConfig, Trajectory, run
@@ -162,7 +163,8 @@ def test_reference_times_are_the_checked_grid():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 40), st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
        st.one_of(st.floats(0.0005, 3.0),
-                 st.sampled_from([0.3, 0.1905, 0.1, 0.03, 0.01, 1 / 3, 0.5])))
+                 st.sampled_from([0.3, 0.1905, 0.1, 0.03, 0.01, 1 / 3, 0.5,
+                                  0.3333334, 0.5000001])))
 def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref):
     # the same verdict and message, reached before anything is run
     p = make_scalar_huber(0.1)
@@ -182,7 +184,11 @@ def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref
     (1.0, 100, 0.3, "reference does not cover the trajectory time span"),
     (1.0, 20, 0.1905, "reference step must be <= trajectory step / 10"),
     (1.0, 20, 0.3, "reference step must be <= trajectory step / 10"),
+    # 3x and 2x finer grids whose times miss t = 1 by 2e-7
+    (1.0, 20, 0.3333334, "reference step must be <= trajectory step / 10"),
+    (1.0, 20, 0.5000001, "reference step must be <= trajectory step / 10"),
     (1.0, 20, 0.2, None),       # every trajectory time on the grid
+    (0.3, 20, 0.1, None),       # 0.3 / 0.1 reads 2.9999999999999996
     (0.1, 20, 0.1, None),       # same grid: a run against itself
     (1.0, 20, 0.1, None),
 ])
@@ -190,36 +196,28 @@ def test_check_reference_cases(delta, iters, delta_ref, message):
     assert _raised(lambda: check_reference(delta_ref, delta, iters)) == message
 
 
-def _on_grid_by_table(times, ref_times):
-    """The on-grid rule as a full (times x ref_times) closeness table."""
-    return bool(np.all(np.isclose(times[:, None], ref_times[None, :], atol=1e-12).any(axis=1)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 30), st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
-       st.one_of(st.integers(1, 9).map(lambda q: 1.0 / q),
-                 st.fractions(1, 7, max_denominator=7).map(float),
-                 st.floats(0.11, 3.0)),
-       st.lists(st.floats(0.0, 20.0), max_size=8))
-def test_on_grid_rule_matches_the_full_table(iters, delta, ratio, extra):
-    # reference times: a uniform grid of step ratio * delta (on the trajectory
-    # grid when 1/ratio is a whole number), plus arbitrary sorted extra times
-    times = np.arange(iters + 1) * delta
-    delta_ref = ratio * delta
-    ref_times = np.unique(np.concatenate([
-        np.arange(int(np.ceil(iters / ratio)) + 2) * delta_ref, extra]))
-    want = None if _on_grid_by_table(times, ref_times) else \
+@given(st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
+       st.one_of(st.integers(1, 9).map(Fraction), st.fractions(1, 9, max_denominator=9)),
+       st.sampled_from([0.0, 1e-7, -1e-7]))
+def test_step_rule_matches_exact_ratios(delta, ratio, shift):
+    # delta_ref is delta / ratio, moved by shift relative: below 10x finer, a
+    # reference holds every trajectory time k * delta exactly when the ratio
+    # is a whole number and nothing moved it
+    delta_ref = delta / float(ratio) * (1 + shift)
+    want = None if ratio.denominator == 1 and shift == 0 else \
         "reference step must be <= trajectory step / 10"
-    assert _raised(lambda: _check_grid(times, delta, ref_times, delta_ref)) == want
+    assert _raised(lambda: _check_steps(delta, delta, delta_ref, delta)) == want
 
 
 def test_on_grid_check_of_a_long_run_stays_small():
-    # a 4000-step run against its own grid: the full closeness table would
-    # hold 4001 x 4001 entries
+    # the check reads two steps and two spans: nothing it allocates grows
+    # with the run or with the reference
     tracemalloc.start()
     try:
         assert check_reference(0.1, 0.1, 4000) == 4000
+        assert check_reference(0.1, 1.0, 100000) == 1000000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 64 * 1024
