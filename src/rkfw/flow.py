@@ -40,36 +40,38 @@ def absorption_time(u0: float, c: float) -> float:
 def reference_steps(delta_ref: float, t_end: float) -> int:
     """Steps of a reference grid of spacing delta_ref over [0, t_end].
 
-    Raises ValueError unless delta_ref > 0 (a NaN fails) and the grid has
-    at least 10 steps.
+    Raises ValueError unless delta_ref > 0 and t_end > 0 (a NaN fails) and
+    the grid has at least 10 steps.
     """
     if not delta_ref > 0:
         raise ValueError("delta_ref must be positive")
+    if not t_end > 0:
+        raise ValueError("reference needs a run of positive time span (iters * delta > 0)")
     n_steps = int(round(t_end / delta_ref))
     if n_steps < 10:
         raise ValueError("reference needs at least 10 samples; shrink delta_ref")
     return n_steps
 
 
-def _check_steps(delta, span, delta_ref, ref_span):
-    """Raise ValueError unless a reference of step delta_ref over [0, ref_span]
-    can measure a trajectory of step delta over [0, span]: its step is at
-    most delta/10, or delta is a whole multiple of it to 8 eps relative, so
-    that every trajectory time k * delta is a reference grid time."""
-    if span > ref_span + 1e-12:
+def _check_steps(delta, n, delta_ref, n_ref):
+    """Raise ValueError unless a reference of n_ref steps of delta_ref can
+    measure a trajectory of n steps of delta: its grid reaches n * delta,
+    and its step is at most delta/10 or delta is a whole multiple of it, so
+    that every trajectory time k * delta is a grid time. Both hold to 8 eps
+    relative, in r = delta / delta_ref."""
+    r, tol = delta / delta_ref, 8 * sys.float_info.epsilon
+    if n * r > n_ref * (1 + tol):
         raise ValueError("reference does not cover the trajectory time span")
-    r = delta / delta_ref
-    if delta_ref > delta / 10 + 1e-15 and \
-            abs(r - max(1, round(r))) > 8 * sys.float_info.epsilon * r:
+    if r < 10 and abs(r - max(1, round(r))) > tol * r:
         raise ValueError("reference step must be <= trajectory step / 10")
 
 
 def check_reference(delta_ref: float, delta: float, iters: int) -> int:
     """reference_steps for a run of iters steps of size delta, plus the
-    rules total_accumulation_error applies to the pair, decided before
-    either is computed: the spans are the last times run records for both."""
+    rule total_accumulation_error applies to the pair, decided from the
+    step counts both runs would record, before either is computed."""
     n_steps = reference_steps(delta_ref, iters * delta)
-    _check_steps(delta, iters * delta, delta_ref, n_steps * delta_ref)
+    _check_steps(delta, iters, delta_ref, n_steps)
     return n_steps
 
 
@@ -83,22 +85,18 @@ def reference_trajectory(problem, c: float, delta_ref: float, t_end: float) -> T
 
 
 def total_accumulation_error(traj, ref):
-    """Per-sample distance between a trajectory and a flow reference.
+    """Distance between a trajectory and a flow reference, one per trajectory row.
 
-    Both are Trajectory records with iterates. Returns a list of (t, error)
-    at every trajectory sample time, the reference interpolated linearly per
-    coordinate. The reference step must be at most the trajectory step / 10,
-    or the trajectory step a whole multiple of it to 8 eps relative, so that
-    its grid holds every trajectory time (which covers comparing a run
-    against itself).
+    Both are Trajectory records with iterates, row k at time k * delta.
+    Entry k of the array returned is the error at traj.ts[k], the reference
+    interpolated linearly per coordinate. The pair must pass _check_steps,
+    as a run against itself does.
     """
     for name, arg in (("trajectory", traj), ("reference", ref)):
         if arg.iterates is None:
             raise ValueError(f"{name} has no recorded iterates")
-    times = traj.ts
-    _check_steps(traj.delta, times[-1], ref.delta, ref.ts[-1])
-    states = traj.iterates.reshape(len(times), -1)
+    _check_steps(traj.delta, len(traj.ts) - 1, ref.delta, len(ref.ts) - 1)
+    states = traj.iterates.reshape(len(traj.ts), -1)
     ref_states = ref.iterates.reshape(len(ref.ts), -1)
-    ref_at = np.stack([np.interp(times, ref.ts, col) for col in ref_states.T], axis=1)
-    errs = np.linalg.norm(states - ref_at, axis=1)
-    return list(zip(times.tolist(), errs.tolist()))
+    ref_at = np.stack([np.interp(traj.ts, ref.ts, col) for col in ref_states.T], axis=1)
+    return np.linalg.norm(states - ref_at, axis=1)

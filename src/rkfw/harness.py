@@ -335,9 +335,10 @@ def zigzag_csv(energies, window: int):
 
 def tae_csv(problem, traj, cfg: ExperimentConfig):
     """`t,epsilon` rows of traj's error against a flow reference at cfg.ref_delta, in blocks."""
-    pairs = total_accumulation_error(traj, reference_trajectory(
+    errs = total_accumulation_error(traj, reference_trajectory(
         problem, cfg.c, cfg.ref_delta, t_end=cfg.iters * cfg.delta))
-    return chain(["t,epsilon\n"], _blocks(lambda p: f"{p[0]!r},{p[1]!r}\n", (pairs, float)))
+    return chain(["t,epsilon\n"], _blocks(lambda t, e: f"{t!r},{e!r}\n",
+                                           (traj.ts, float), (errs, float)))
 
 
 def write_blocks(out, blocks):

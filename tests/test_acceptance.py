@@ -167,7 +167,7 @@ def test_acceptance_06_discretization_order():
 
     def tae(name, delta):
         traj = _run(tri, name, int(round(0.2 / delta)), delta=delta, record=True)
-        return max(err for _, err in total_accumulation_error(traj, ref))
+        return total_accumulation_error(traj, ref).max()
 
     e_coarse, e_fine = tae("euler", 0.1), tae("euler", 0.05)
     r_coarse, r_fine = tae("rk44", 0.1), tae("rk44", 0.05)

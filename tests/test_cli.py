@@ -192,6 +192,10 @@ _INVALID_CONFIGS = {
     # 12 reference steps, 4x finer, whose times miss t = 1, 2, 3 by 4e-7 or more
     "near-grid-reference": ({"problem": "triangle", "delta": "1", "ref_delta": "0.2500001"},
                             {}, "reference step must be <= trajectory step / 10"),
+    # no value of ref_delta gives a grid over a run of no time
+    "zero-iters-reference": ({"problem": "triangle", "iters": "0", "delta": "0.1",
+                              "ref_delta": "0.01"}, {},
+                             "reference needs a run of positive time span (iters * delta > 0)"),
 }
 
 
@@ -202,7 +206,7 @@ def test_invalid_config_fails_alike_under_every_verb(tmp_path, monkeypatch, caps
     # the data path was checked only on the run_experiment path, so tae ran a
     # triangle with a missing data file and read a missing svmlight file itself
     keys, files, message = _INVALID_CONFIGS[case]
-    keys = {**keys, "iters": "3"}
+    keys = {"iters": "3", **keys}
     monkeypatch.chdir(tmp_path)
     if verb == "sweep":
         files = {**files, "x.cfg": "".join(f"{k} = {v}\n" for k, v in keys.items())}
@@ -565,9 +569,10 @@ def test_tae_out_and_stdout_across_block_boundaries(tmp_path, monkeypatch, capsy
     p = make_triangle()
     traj = run(p, SolverConfig(tableau=resolve_tableau("rk44"), delta=0.1,
                                max_iters=rows - 1, record_iterates=True))
-    pairs = total_accumulation_error(traj, reference_trajectory(p, 2.0, 0.01,
-                                                                t_end=(rows - 1) * 0.1))
-    want = "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+    errs = total_accumulation_error(traj, reference_trajectory(p, 2.0, 0.01,
+                                                               t_end=(rows - 1) * 0.1))
+    want = "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n"
+                                   for t, eps in zip(traj.ts.tolist(), errs.tolist()))
     flags = ["tae", "--problem", "triangle", "--tableau", "rk44", "--delta", "0.1",
              "--iters", str(rows - 1), "--ref-delta", "0.01"]
     assert main(flags) == 0

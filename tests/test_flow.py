@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rkfw.flow import (_check_steps, absorption_time, check_reference, huber_flow_exact,
@@ -63,8 +64,8 @@ def test_tae_interpolates_between_reference_samples():
     assert not np.isin(traj.ts[1:], ref.ts).any()
     got = total_accumulation_error(traj, ref)
     want = np.linalg.norm(traj.iterates - (a + traj.ts[:, None] * b), axis=1)
-    assert [t for t, _ in got] == traj.ts.tolist()
-    np.testing.assert_allclose([e for _, e in got], want, rtol=1e-13, atol=1e-15)
+    assert isinstance(got, np.ndarray) and got.shape == traj.ts.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_reference_needs_enough_samples():
@@ -94,8 +95,7 @@ def test_tae_self_comparison_is_zero():
                        max_iters=20, record_iterates=True)
     traj = run(p, cfg)
     ref = reference_trajectory(p, c=2.0, delta_ref=0.1, t_end=2.0)
-    errs = np.array([e for _, e in total_accumulation_error(traj, ref)])
-    assert np.max(errs) == 0.0
+    assert np.max(total_accumulation_error(traj, ref)) == 0.0
 
 
 def test_tae_requires_fine_reference_or_shared_grid():
@@ -138,8 +138,7 @@ def test_tae_decreases_with_delta_on_scalar():
                            max_iters=int(round(0.8 / delta)),
                            record_iterates=True)
         traj = run(p, cfg)
-        errs = [e for _, e in total_accumulation_error(traj, ref)]
-        worst[delta] = max(errs)
+        worst[delta] = total_accumulation_error(traj, ref).max()
     assert worst[0.05] < worst[0.1]
 
 
@@ -191,6 +190,12 @@ def test_check_reference_decides_as_the_measurement_does(iters, delta, delta_ref
     (0.3, 20, 0.1, None),       # 0.3 / 0.1 reads 2.9999999999999996
     (0.1, 20, 0.1, None),       # same grid: a run against itself
     (1.0, 20, 0.1, None),
+    # 300000 steps of 0.09999999999999999 reach 29999.999999999996, one ulp
+    # short of 100000 * 0.3: a whole ratio covers the run to 8 eps relative
+    (0.3, 100000, 0.3 / 3, None),
+    (0.3, 100000, 0.3 / 6, None),
+    # 100x coarser, at a scale where an absolute slack of 1e-15 is all slack
+    (1e-18, 100000, 1e-16, "reference step must be <= trajectory step / 10"),
 ])
 def test_check_reference_cases(delta, iters, delta_ref, message):
     assert _raised(lambda: check_reference(delta_ref, delta, iters)) == message
@@ -207,7 +212,20 @@ def test_step_rule_matches_exact_ratios(delta, ratio, shift):
     delta_ref = delta / float(ratio) * (1 + shift)
     want = None if ratio.denominator == 1 and shift == 0 else \
         "reference step must be <= trajectory step / 10"
-    assert _raised(lambda: _check_steps(delta, delta, delta_ref, delta)) == want
+    # one trajectory step, and the fewest reference steps that reach it
+    n_ref = math.ceil(delta / delta_ref)
+    assert _raised(lambda: _check_steps(delta, 1, delta_ref, n_ref)) == want
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([0.05, 0.1, 0.3, 1.0, 2.0]),
+       st.integers(1, 100000))
+@example(3, 0.3, 63249)  # an absolute coverage slack of 1e-12 refused it
+def test_whole_ratio_reference_covers_a_long_run(m, delta, iters):
+    # a grid of delta / m holds the run's own times at any length; it runs
+    # nothing, so many cases are cheap
+    assume(iters * m >= 10)
+    assert check_reference(delta / m, delta, iters) == iters * m
 
 
 def test_on_grid_check_of_a_long_run_stays_small():

@@ -62,6 +62,10 @@ SWEEPS = {
     "scalar-huber": ("problem = scalar_huber\nepsilon = 0.1\n"
                      "tableau = euler, rk44\ndelta = 0.5\nref_delta = 0.05\n"
                      "iters = 200\n"),
+    # a reference grid that misses the trajectory's times: 429 steps of 0.007,
+    # so np.interp blends two reference rows at every time after 0
+    "triangle-off-grid-tae": ("problem = triangle\ntableau = euler, rk44\n"
+                              "delta = 0.1\nref_delta = 0.007\niters = 30\n"),
     "sensing-logistic-7": ("problem = sensing_logistic\nm = 200\nn = 50\nseed = 7\n"
                            "tableau = euler, rk44\niters = 200\n"),
     "completion": ("problem = completion\ndata = ratings20.tsv\n"

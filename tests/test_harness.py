@@ -420,8 +420,9 @@ def _zigzag_text(energies, window):
     ) + f"# mean,{float(np.mean(energies))!r}\n"
 
 
-def _tae_text(pairs):
-    return "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in pairs)
+def _tae_text(ts, errs):
+    return "t,epsilon\n" + "".join(f"{t!r},{eps!r}\n" for t, eps in zip(ts.tolist(),
+                                                                           errs.tolist()))
 
 
 def _spied_runs(monkeypatch):
@@ -456,8 +457,8 @@ def test_run_files_are_their_rows_across_block_boundaries(tmp_path, monkeypatch,
     monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
     if rows > 1:
         ref = reference_trajectory(build_problem(cfg), cfg.c, 0.01, t_end=cfg.iters * 0.1)
-        pairs = total_accumulation_error(traj, ref)
-        assert (d / "tae.csv").read_bytes() == _tae_text(pairs).encode()
+        errs = total_accumulation_error(traj, ref)
+        assert (d / "tae.csv").read_bytes() == _tae_text(traj.ts, errs).encode()
     else:
         assert not (d / "tae.csv").exists()
     # zigzag_w2.csv holds one row per block of 2 steps
@@ -488,14 +489,17 @@ def test_matrix_iterates_are_their_rows_across_block_boundaries(tmp_path, monkey
 
 @pytest.mark.parametrize("rows", ROWS_AROUND_BLOCKS)
 def test_tae_csv_is_its_pairs_across_block_boundaries(tmp_path, monkeypatch, rows):
-    # a run of one point has no reference, so its pairs are given here
+    # a run of one point has no reference, so its errors are given here: one
+    # per trajectory row, each beside its row's time
     monkeypatch.setattr(rkfw.harness, "_BLOCK_VALUES", 3 * 2)
-    pairs = [(0.1 * i, 1.0 / (i + 3)) for i in range(rows)]
+    traj = Trajectory(ks=np.arange(rows), ts=0.1 * np.arange(rows), fs=None, gaps=None,
+                      step_norms=None, violations=None, wall_ns=None, delta=0.1)
+    errs = 1.0 / (np.arange(rows) + 3)
     monkeypatch.setattr(rkfw.harness, "reference_trajectory", lambda *args, **kw: None)
-    monkeypatch.setattr(rkfw.harness, "total_accumulation_error", lambda traj, ref: pairs)
+    monkeypatch.setattr(rkfw.harness, "total_accumulation_error", lambda traj, ref: errs)
     cfg = ExperimentConfig(problem="triangle", ref_delta=0.01)
-    write_blocks(tmp_path / "tae.csv", rkfw.harness.tae_csv(None, None, cfg))
-    assert (tmp_path / "tae.csv").read_bytes() == _tae_text(pairs).encode()
+    write_blocks(tmp_path / "tae.csv", rkfw.harness.tae_csv(None, traj, cfg))
+    assert (tmp_path / "tae.csv").read_bytes() == _tae_text(traj.ts, errs).encode()
 
 
 def _sensing_sized_trajectory(rows):
