@@ -64,7 +64,7 @@ def measure(repeats, number):
               "fx": obj.value(x)}
         stmts = ("obj.value(x)", "obj.gradient(x)", "region.lmo(g).dense()",
                  "region.membership_violation(x)", "step(x, k, cfg, p)",
-                 "obj.value(x); search(obj, x, d, fx, k, cfg.c)")
+                 "obj.value(x); search(obj, x, d, fx)")
         timers += [(row, call, timeit.Timer(stmt, globals=ns))
                    for call, stmt in zip(CALLS, stmts)]
     best = {row: {} for row in ROWS}

@@ -188,15 +188,15 @@ def _far_root(a, b, err, trusted, evaluated):
     return lo
 
 
-def _searched_step(objective, x, d, fx, k, c):
+def _searched_step(objective, x, d, fx):
     """(x_next, f_next): the point the line search moves to from x along d,
     where f(x) = fx, and f(x_next) when the search already knows it, else None.
 
     One sign test, phi(gamma) = f(x + gamma d) - fx <= 0, decides every
-    choice, so a NaN f never passes. gbar is the largest gamma that _far_root
-    finds passing it (0 for an ascent direction of a convex f). The step is
-    the larger of gbar and the open-loop fraction c/(c+k), clipped to [0, 1];
-    if it fails the test, the step falls back to gbar.
+    choice, so a NaN f never passes. The step is gbar, the largest gamma in
+    [0, 1] that _far_root finds passing it. On a convex phi that is 0 for an
+    ascent direction, 1 where phi(1) <= 0, and otherwise the far root of phi,
+    where x + gbar d is x's mirror point across f's level set.
 
     The test reads the model from along(x, d) -> (a, b, err) where the
     objective has it: phi(gamma) = a gamma^2 + b gamma exactly, and err
@@ -206,9 +206,7 @@ def _searched_step(objective, x, d, fx, k, c):
     f, calling value once per gamma: a few value calls per search instead of
     about 60. gbar is checked by evaluated (unless it is 0); if f rises
     there, the model is dropped and the search redone on values alone, so a
-    wrong model can change the step but never lets f rise. The model may
-    refuse the schedule step without a value call, but a step that is taken
-    is always evaluated.
+    wrong model can change the step but never lets f rise.
     At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is
     reused only when the two are equal byte for byte.
     """
@@ -227,11 +225,6 @@ def _searched_step(objective, x, d, fx, k, c):
     if not (gbar == 0.0 or evaluated(gbar)):
         err, trusted = math.inf, False  # the model was wrong: drop it
         gbar = _far_root(a, b, err, trusted, evaluated)
-    step = min(1.0, max(c / (c + k), gbar))
-    # step >= c/(c+k) > 0, so the model settles its test only where |m| >
-    # err, and it refuses the step where m > err
-    if step != gbar and not step * (a * step + b) > err and evaluated(step):
-        return points[step]
     if gbar in points:
         return points[gbar]
     x_next = x + gbar * d
@@ -260,10 +253,9 @@ def momentum_step(x, z, v, k: int, c: float, problem):
 def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
     """Drive cfg.max_iters steps from problem.x0.
 
-    Records one row per visited point, k = 0..max_iters. Under
-    line_search the recorded f values never increase: the searched step is
-    taken only when it does not raise f, otherwise the step falls back to
-    the largest non-increasing fraction along the same direction.
+    Records one row per visited point, k = 0..max_iters. Under line_search
+    the step is the largest fraction along the composite direction that
+    does not raise f, so the recorded f values never increase.
 
     Each consumer is called with each visited point x_k, k = 0..max_iters,
     once and in order, as the run's own array in x0's shape; the run keeps
@@ -306,7 +298,7 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
             x_plain, gaps[k] = rk_fw_step(x, k, cfg, problem)
             gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
             d = (x_plain - x) / gamma_k
-            x_next, f_next = _searched_step(obj, x, d, fs[k], k, cfg.c)
+            x_next, f_next = _searched_step(obj, x, d, fs[k])
         else:  # momentum
             gaps[k] = _row_gap(x, problem)
             x_next, z, v = momentum_step(x, z, v, k, cfg.c, problem)

@@ -70,6 +70,11 @@ SWEEPS = {
                            "tableau = euler, rk44\niters = 200\n"),
     "completion": ("problem = completion\ndata = ratings20.tsv\n"
                    "tableau = euler\niters = 30\n"),
+    # line searches on an objective with no along() model, and at c = 1
+    "sensing-logistic-ls": ("problem = sensing_logistic\nm = 200\nn = 50\nseed = 7\n"
+                            "tableau = euler, rk44\nvariant = line_search\niters = 100\n"),
+    "sensing-ls-c1": ("problem = sensing\nm = 500\nn = 100\nseed = 7\nc = 1\n"
+                      "tableau = rk38, rk44\nvariant = line_search\niters = 100\n"),
 }
 # fixtures a config reads, copied beside it so that its manifest names them
 # by a relative path

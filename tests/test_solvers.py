@@ -268,11 +268,9 @@ def test_fw_gap_dominates_suboptimality(a, b):
 
 def test_line_search_far_root():
     # phi(gamma) = ((0.5 - 1.5 g)^2 - 0.25)/2 has roots 0 and 2/3; the
-    # searched step is the far root, x = -0.5, not the minimizer x = 0. At
-    # k = 100 the schedule fraction 2/102 lies below it
+    # searched step is the far root, x = -0.5, not the minimizer x = 0
     for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
-        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-1.5]),
-                                        0.125, k=100, c=2.0)
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-1.5]), 0.125)
         assert x_next == pytest.approx([-0.5], abs=1.5e-9)
         assert f_next == obj.value(x_next) <= 0.125
 
@@ -281,33 +279,31 @@ def test_line_search_full_step_shortcut():
     # phi(1) < 0: gamma = 1 is taken with one value call, at the step itself
     for model in (True, False):
         obj, points = value_logged(DistanceSq(np.array([0.0])), model)
-        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-0.5]),
-                                        0.125, k=100, c=2.0)
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([-0.5]), 0.125)
         assert x_next.tobytes() == as_bytes(0.0) and f_next == 0.0
         assert points == [as_bytes(0.0)]
 
 
-def test_line_search_floor_is_schedule():
-    # along d = 1 from 0, gbar ~ 0.6; the floor c/(c+k) = 6/7 lies in the
-    # pocket, where f = -1, so the schedule step is taken
-    x, d = np.array([0.0]), np.array([1.0])
-    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=1, c=6.0)
-    assert x_next.tobytes() == (x + (6.0 / 7.0) * d).tobytes()
-    assert f_next == -1.0
+def test_line_search_takes_the_far_root_with_no_schedule_step():
+    # phi(gamma) = ((0.5 - 2.5 g)^2 - 0.25)/2 has roots 0 and 0.4: the step
+    # is the far root, x = -0.5. With no model, each of the scan's 21 grid
+    # tests (1 down to 12/32) and the 29 bisection tests is one value call;
+    # none falls at 2/3, the schedule fraction c/(c+k) at k = 1, c = 2,
+    # which overshoots the root
+    obj, points = value_logged(DistanceSq(np.array([0.0])), model=False)
+    x, d = np.array([0.5]), np.array([-2.5])
+    x_next, f_next = _searched_step(obj, x, d, 0.125)
+    assert x_next == pytest.approx([-0.5], abs=3e-9)
+    assert f_next <= 0.125
+    assert len(points) == 50
+    assert (x + (2.0 / 3.0) * d).tobytes() not in points
 
 
-def test_line_search_falls_back_where_the_floor_raises_f():
-    # the floor 6/8 lies past the pocket, where f rises: the step is gbar
-    x, d = np.array([0.0]), np.array([1.0])
-    x_next, f_next = _searched_step(Pocketed(), x, d, 0.0, k=2, c=6.0)
-    assert x_next == pytest.approx([0.6], abs=1e-9)
-    assert f_next == Pocketed().value(x_next) <= 0.0
-    # an ascent direction has gbar = 0; even the floor 1 at k = 0 raises f,
-    # and the step stays at x, whose f is known
-    obj = DistanceSq(np.array([0.0]))
-    for k in (0, 2):
-        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([1.0]),
-                                        0.125, k=k, c=2.0)
+def test_line_search_stays_at_x_along_an_ascent_direction():
+    # an ascent direction has gbar = 0: the step stays at x, whose f is
+    # known, and without a model the search evaluated it at gamma = 0
+    for obj in (DistanceSq(np.array([0.0])), ValueOnly(DistanceSq(np.array([0.0])))):
+        x_next, f_next = _searched_step(obj, np.array([0.5]), np.array([1.0]), 0.125)
         assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
 
 
@@ -320,10 +316,8 @@ class NanBeyondHalf:
 
 
 def test_line_search_never_takes_a_nan_step():
-    # the search stops at gbar = 0.5; the schedule step 6/7 has a NaN f,
-    # which fails the same sign test as the scan's, so the step is gbar
-    x_next, f_next = _searched_step(NanBeyondHalf(), np.array([0.0]), np.array([1.0]),
-                                    0.0, k=1, c=6.0)
+    # f is NaN past 0.5, which fails the sign test, so the search stops there
+    x_next, f_next = _searched_step(NanBeyondHalf(), np.array([0.0]), np.array([1.0]), 0.0)
     assert x_next.tobytes() == as_bytes(0.5) and f_next == -0.5
 
 
@@ -376,8 +370,8 @@ def test_line_search_run_is_monotone_sensing():
 
 
 def test_line_search_fallback_keeps_monotone():
-    # from 0.9 at k=0 the schedule forces gamma=1, which would overshoot to
-    # f(-1) > f(0.9); the fallback rescales to the non-increasing root
+    # from 0.9 at k=0 the plain step, gamma = 1, would overshoot to
+    # f(-1) > f(0.9); the search takes the non-increasing far root instead
     p = dataclasses.replace(scalar_box_problem(), x0=np.array([0.9]))
     traj = run(p, cfg_for("euler", variant="line_search", max_iters=3))
     assert traj.fs[1] <= traj.fs[0] + 1e-12
@@ -412,21 +406,6 @@ class Pocketed:
             return u - 0.6
         return -1.0 if 0.852 < u < 0.858 else u
 
-    def gradient(self, x):
-        return np.array(x, dtype=float)
-
-
-def test_line_search_records_f_of_a_step_past_the_search():
-    # k = 0 falls back to gbar ~ 0.6 (x = -0.6). At k = 1, d ~ 1.6 and the
-    # search stops at gbar ~ 0.75, but the schedule step 10/11 lands in the
-    # pocket, where f is lower: the step is taken, and its own f recorded
-    p = ProblemInstance(Pocketed(), Box(1.0), np.array([0.0]), None, "pocketed")
-    traj = run(p, cfg_for("euler", c=10.0, variant="line_search", max_iters=3,
-                          record_iterates=True))
-    assert traj.fs[2] == -1.0
-    fresh = np.array([p.objective.value(x) for x in traj.iterates])
-    assert traj.fs.tobytes() == fresh.tobytes()
-
 
 @pytest.mark.parametrize("name", ["euler", "rk44"])
 def test_line_search_evaluates_no_point_twice(name):
@@ -441,9 +420,10 @@ def test_line_search_evaluates_no_point_twice(name):
 
 
 def test_line_search_calls_no_value_at_a_refused_step():
-    # on sensing instance 7000 every euler schedule step overshoots the far
-    # root of phi; the model settles that f rises there, so no value call
-    # falls at the step the run refuses
+    # on sensing instance 7000 every plain euler step x + gamma_k d
+    # overshoots the far root of phi, so the run refuses it. Where gamma_k
+    # is a grid point of the scan, the model settles that f rises there, so
+    # no value call falls at the refused step
     p = make_sensing(seed=7000)
     log = logged_calls(p)
     cfg = cfg_for("euler", variant="line_search", max_iters=60, record_iterates=True)
@@ -453,16 +433,17 @@ def test_line_search_calls_no_value_at_a_refused_step():
     for k in range(cfg.max_iters):
         x = traj.iterates[k]
         x_plain, _ = rk_fw_step(x, k, cfg, p)
-        d = (x_plain - x) / (cfg.delta * cfg.c / (cfg.c + cfg.delta * k))
-        at_step = (x + min(1.0, cfg.c / (cfg.c + k)) * d).tobytes()
+        gamma_k = cfg.delta * cfg.c / (cfg.c + cfg.delta * k)
+        d = (x_plain - x) / gamma_k
+        at_step = (x + gamma_k * d).tobytes()
         assert at_step != traj.iterates[k + 1].tobytes(), k
         assert at_step not in points, k
 
 
 def test_stuck_step_evaluates_a_moved_zero():
-    # x0 is the target, so gbar = 0 and the schedule step raises f: the run
-    # falls back to x0 + 0 d, which turns x0's -0.0 into +0.0. f(x1) must
-    # be evaluated at those bytes, not copied from row 0
+    # x0 is the target, so every step raises f and gbar = 0: the run moves
+    # to x0 + 0 d, which turns x0's -0.0 into +0.0. f(x1) must be evaluated
+    # at those bytes, not copied from row 0
     x0 = np.array([0.2, -0.0])
     p = ProblemInstance(DistanceSq(x0.copy()), signed_zero_problem().region, x0,
                         None, "stuck")
@@ -487,8 +468,8 @@ class ValueOnly:
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["least_squares", "distance_sq"]),
        st.sampled_from([1.0, 1e3, 1e6]), st.sampled_from([0.0, 1e-8, 1.0]),
-       st.sampled_from(["descent", "ascent", "short", "random"]), st.integers(0, 100))
-def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, direction, k):
+       st.sampled_from(["descent", "ascent", "short", "random"]))
+def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, direction):
     # x_scale puts x far from the origin; misfit 0 or 1e-8 gives near-fit
     # instances, whose f is far below the rounding of the terms value sums
     rng = np.random.default_rng(seed)
@@ -517,7 +498,7 @@ def test_model_search_matches_evaluated_search(seed, kind, x_scale, misfit, dire
         objective, points = value_logged(obj, model)
         logged_d = d.view(GammaLogged)
         logged_d.gammas = []
-        x_next, f_next = _searched_step(objective, x, logged_d, fx, k, 2.0)
+        x_next, f_next = _searched_step(objective, x, logged_d, fx)
         # no gamma's point is formed twice, so none is evaluated twice (at
         # x_scale 1e6 distinct gammas can give the same point bytes)
         assert len(logged_d.gammas) == len(set(logged_d.gammas)) >= len(points)
@@ -613,8 +594,9 @@ def closure_no_rise(a, b, err, trusted, evaluated):
     return no_rise
 
 
-def closure_searched_step(objective, x, d, fx, k, c):
-    """The closure-based _searched_step, verbatim but for its docstring."""
+def closure_searched_step(objective, x, d, fx):
+    """The closure-based _searched_step: the reference for
+    test_inline_search_matches_closure_search."""
     along = getattr(objective, "along", None)
     trusted = along is not None
     a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
@@ -636,9 +618,6 @@ def closure_searched_step(objective, x, d, fx, k, c):
     if not (gbar == 0.0 or evaluated(gbar)):
         err, trusted = math.inf, False  # the model was wrong: drop it
         gbar = closure_far_root(no_rise)
-    step = min(1.0, max(c / (c + k), gbar))
-    if step != gbar and no_rise(step) and evaluated(step):
-        return points[step]
     if gbar in points:
         return points[gbar]
     x_next = x + gbar * d
@@ -709,17 +688,16 @@ def test_inline_far_root_matches_closure_far_root(a, b, err, trusted, oracle, d)
 
 @settings(max_examples=400)
 @given(model_coefficients, model_coefficients, model_errs, st.booleans(),
-       st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0),
-       st.integers(0, 50), st.sampled_from([1.0, 2.0, 6.0]))
-def test_inline_search_matches_closure_search(a, b, err, model, oracle, d, k, c):
-    # the whole search, with its check of gbar, the redo and the schedule
-    # step: the same point, f and error, and value called at the same points
+       st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0))
+def test_inline_search_matches_closure_search(a, b, err, model, oracle, d):
+    # the whole search, with its check of gbar and the redo: the same point,
+    # f and error, and value called at the same points
     results = []
     for search in (_searched_step, closure_searched_step):
         objective = Modelled(SEARCH_ORACLES[oracle](), (a, b, err) if model else None)
         x, direction = np.array([0.0]), np.array([d])
         fx = SEARCH_ORACLES[oracle]().value(x)
-        got = outcome(lambda: search(objective, x, direction, fx, k, c))
+        got = outcome(lambda: search(objective, x, direction, fx))
         if not isinstance(got, str):
             got = (got[0].tobytes(), got[1])
         results.append((got, objective.points))
@@ -746,15 +724,14 @@ def test_line_search_raises_when_no_step_passes():
     # a NaN f(x) fails every sign test, gamma = 0 included
     obj, x = NanAtStart(), np.array([0.0])
     with pytest.raises(ValueError, match=msg):
-        _searched_step(obj, x, np.array([1.0]), obj.value(x), k=1, c=2.0)
+        _searched_step(obj, x, np.array([1.0]), obj.value(x))
     # along an ascent direction f rises at every gamma > 0, and the trusted
     # model is NaN at gamma = 0, so it refuses even the step that stays at x
     obj, x = NanModel(np.array([0.0])), np.array([0.5])
     with pytest.raises(ValueError, match=msg):
-        _searched_step(obj, x, np.array([1.0]), obj.value(x), k=1, c=2.0)
+        _searched_step(obj, x, np.array([1.0]), obj.value(x))
     # with the true model, the same search stays at x
-    x_next, f_next = _searched_step(DistanceSq(np.array([0.0])), x, np.array([1.0]),
-                                    0.125, k=1, c=2.0)
+    x_next, f_next = _searched_step(DistanceSq(np.array([0.0])), x, np.array([1.0]), 0.125)
     assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
 
 
