@@ -8,7 +8,10 @@ that row's point, and one `line search`: a `value` call at the point, as
 `run` makes for the row, then the line_search variant's search from it
 along the composite direction (x_plain - x) / gamma_k of the row's step.
 The value call comes first so that an objective that keeps the residual
-of its last call (LeastSquares) finds it there, as it does in a run.
+of its last call (LeastSquares) finds it there, as it does in a run. On
+the triangle row it also times `line search, no model`: the same search
+through a wrapper that hides the objective's along() model, so that every
+test of the search is a value call.
 
 Each measurement runs in fresh processes, one after another: every
 process times each call `--number` times per repeat, taking the calls in
@@ -29,10 +32,12 @@ import subprocess
 import sys
 import timeit
 from pathlib import Path
+from types import SimpleNamespace
 
 ROW_K = 100  # the iteration whose point and index every call uses
 CALLS = ("value", "gradient", "lmo(...).dense()", "membership_violation",
          "rk_fw_step", "line search")
+MODEL_LESS = "line search, no model"  # timed on the first row only
 ROWS = ("triangle rk44 d=0.01", "sensing-7000 rk44 d=1")
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,12 +66,14 @@ def measure(repeats, number):
         ns = {"obj": obj, "region": region, "x": x, "k": ROW_K, "cfg": cfg,
               "p": p, "g": obj.gradient(x), "step": rk_fw_step,
               "search": _searched_step, "d": (x_plain - x) / gamma_k,
-              "fx": obj.value(x)}
+              "fx": obj.value(x), "bare": SimpleNamespace(value=obj.value)}
         stmts = ("obj.value(x)", "obj.gradient(x)", "region.lmo(g).dense()",
                  "region.membership_violation(x)", "step(x, k, cfg, p)",
                  "obj.value(x); search(obj, x, d, fx)")
-        timers += [(row, call, timeit.Timer(stmt, globals=ns))
-                   for call, stmt in zip(CALLS, stmts)]
+        calls = list(zip(CALLS, stmts))
+        if row == ROWS[0]:
+            calls.append((MODEL_LESS, "obj.value(x); search(bare, x, d, fx)"))
+        timers += [(row, call, timeit.Timer(stmt, globals=ns)) for call, stmt in calls]
     best = {row: {} for row in ROWS}
     for _ in range(repeats):
         for row, call, timer in timers:
@@ -101,18 +108,18 @@ def main(argv=None):
         return
     srcs = args.src or [DEFAULT_SRC]
     # per tree, row and call: each process's minimum
-    mins = [{row: {call: [] for call in CALLS} for row in ROWS} for _ in srcs]
+    mins = [{} for _ in srcs]
     for _ in range(args.procs):
         for side, src in zip(mins, srcs):
             for row, calls in _child(src, args.repeats, args.number).items():
                 for call, us in calls.items():
-                    side[row][call].append(us)
+                    side.setdefault(row, {}).setdefault(call, []).append(us)
     print(f"us per call, min of {args.repeats} repeats x {args.number} calls "
           f"in each of {args.procs} processes per tree, and the largest process min")
     print(f"{'row':22s} {'call':22s}"
           + "".join(f" {str(s)[-24:]:>24s} {'max proc':>9s}" for s in srcs))
-    for row in ROWS:
-        for call in CALLS:
+    for row, calls in mins[0].items():
+        for call in calls:
             print(f"{row:22s} {call:22s}"
                   + "".join(f" {min(side[row][call]):24.3f} {max(side[row][call]):9.3f}"
                             for side in mins))

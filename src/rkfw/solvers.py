@@ -140,39 +140,27 @@ def _row_gap(x, problem):
     return float(np.vdot(g, x - s))
 
 
-_GRID = tuple(i / 32 for i in range(33))  # np.linspace(0, 1, 33), bit for bit
-_GRID_DOWN = _GRID[::-1]  # the order the line search scans it in
 _BISECT_WIDTH = 1e-10  # the line search's bisection stops at a bracket this wide
 
 
 def _far_root(a, b, err, trusted, evaluated):
     """Largest gamma in [0, 1] that passes the sign test phi(gamma) <= 0:
-    a scan down the 33-point grid from gamma = 1 finds the last passing grid
-    point (1 itself when it passes), and bisection narrows the bracket above
-    it to _BISECT_WIDTH. The grid guards against stopping at an early pocket
-    of phi. Raises ValueError when not even gamma = 0 passes (a NaN f or
-    model there).
+    1 itself when it passes, else the lower end of the bracket that
+    bisecting [0, 1] narrows to _BISECT_WIDTH. On a convex phi the passing
+    gammas are an interval [0, r], so that end lies within _BISECT_WIDTH
+    below r. gamma = 0 is tested only when no gamma > 0 passed; raises
+    ValueError when it fails too (a NaN f or model there).
 
     The test reads the model m = gamma (a gamma + b) where |m| > err >= 0,
     and at gamma = 0 when the model is trusted; elsewhere, a NaN m or err
     included, it calls evaluated(gamma). The model is computed inline, with
-    no call per test: a search makes about 60 tests.
+    no call per test: a search makes at most 36 tests.
     """
     neg = -err
-    hi = None  # the grid point above gamma, once the scan has refused one
-    for gamma in _GRID_DOWN:
-        m = gamma * (a * gamma + b)
-        if m > err or m < neg or gamma == 0.0 and trusted:
-            if m <= 0.0:
-                break
-        elif evaluated(gamma):
-            break
-        hi = gamma
-    else:
-        raise ValueError("no step along the search direction passes the sign test")
-    if hi is None:
+    m = a + b  # the model at gamma = 1
+    if (m <= 0.0) if (m > err or m < neg) else evaluated(1.0):
         return 1.0
-    lo = gamma
+    lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         # mid > lo >= 0, so the gamma = 0 rule never applies here
         mid = 0.5 * (lo + hi)
@@ -185,6 +173,10 @@ def _far_root(a, b, err, trusted, evaluated):
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:  # no gamma > 0 passed
+        m = 0.0 * (a * 0.0 + b)  # 0, or NaN for a non-finite model
+        if not ((m <= 0.0) if (m > err or m < neg or trusted) else evaluated(0.0)):
+            raise ValueError("no step along the search direction passes the sign test")
     return lo
 
 
@@ -204,7 +196,7 @@ def _searched_step(objective, x, d, fx):
     |model| > err, and at gamma = 0, where both are exactly 0, the model has
     the sign of the evaluated phi. Elsewhere evaluated(gamma) decides from
     f, calling value once per gamma: a few value calls per search instead of
-    about 60. gbar is checked by evaluated (unless it is 0); if f rises
+    about 35. gbar is checked by evaluated (unless it is 0); if f rises
     there, the model is dropped and the search redone on values alone, so a
     wrong model can change the step but never lets f rise.
     At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is

@@ -75,10 +75,16 @@ SWEEPS = {
                             "tableau = euler, rk44\nvariant = line_search\niters = 100\n"),
     "sensing-ls-c1": ("problem = sensing\nm = 500\nn = 100\nseed = 7\nc = 1\n"
                       "tableau = rk38, rk44\nvariant = line_search\niters = 100\n"),
+    # line searches with no along() model: scalar_huber's far roots lie above
+    # 7/8, and completion searches a nuclear-norm ball
+    "scalar-huber-ls": ("problem = scalar_huber\nepsilon = 0.1\n"
+                        "tableau = euler, rk44\nvariant = line_search\niters = 200\n"),
+    "completion-ls": ("problem = completion\ndata = ratings20.tsv\n"
+                      "tableau = euler\nvariant = line_search\niters = 30\n"),
 }
 # fixtures a config reads, copied beside it so that its manifest names them
 # by a relative path
-DATA = {"completion": "ratings20.tsv"}
+DATA = {"completion": "ratings20.tsv", "completion-ls": "ratings20.tsv"}
 
 
 def _canonical(path):

@@ -92,10 +92,13 @@ def test_percall_prints_every_call_on_both_rows(monkeypatch, capsys):
     header, columns, *rows = capsys.readouterr().out.splitlines()
     assert header.startswith("us per call")
     assert columns.endswith("max proc")
-    assert len(rows) == len(script.ROWS) * len(script.CALLS)
-    # the line search is timed on both rows, after the row's value call
-    searches = [row[:22].rstrip() for row in rows if " line search " in row]
-    assert searches == list(script.ROWS)
+    assert len(rows) == len(script.ROWS) * len(script.CALLS) + 1
+    # the line search is timed on both rows, after the row's value call, and
+    # without its model on the triangle row
+    searches = [(row[:22].rstrip(), row[23:45].rstrip()) for row in rows
+                if row[23:].startswith("line search")]
+    assert searches == [(script.ROWS[0], "line search"), (script.ROWS[0], script.MODEL_LESS),
+                        (script.ROWS[1], "line search")]
     for row in rows:
         # the tree's minimum over both processes, then the larger process minimum
         lowest, largest = map(float, row.split()[-2:])

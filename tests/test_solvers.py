@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rkfw.geometry import Box, DenseAtom, VertexHull
 from rkfw.harness import ExperimentConfig, build_problem, iterates_txt, traj_csv
 from rkfw.objectives import DistanceSq, LeastSquares
-from rkfw.problems import (ProblemInstance, make_scalar_huber, make_sensing,
-                           make_triangle)
-from rkfw.solvers import (_BISECT_WIDTH, _GRID, SolverConfig, _far_root, _searched_step,
-                          fw_gap, momentum_step, rk_fw_step, run)
+from rkfw.problems import (TRIANGLE_VERTICES, ProblemInstance, make_scalar_huber,
+                           make_sensing, make_sensing_logistic, make_triangle)
+from rkfw.solvers import (_BISECT_WIDTH, SolverConfig, _far_root, _searched_step, fw_gap,
+                          momentum_step, rk_fw_step, run)
 from rkfw.tableau import (TABLEAU_NAMES, ButcherTableau, feasibility_certificate,
                           make_tableau, stage_gammas)
 
@@ -286,16 +286,16 @@ def test_line_search_full_step_shortcut():
 
 def test_line_search_takes_the_far_root_with_no_schedule_step():
     # phi(gamma) = ((0.5 - 2.5 g)^2 - 0.25)/2 has roots 0 and 0.4: the step
-    # is the far root, x = -0.5. With no model, each of the scan's 21 grid
-    # tests (1 down to 12/32) and the 29 bisection tests is one value call;
-    # none falls at 2/3, the schedule fraction c/(c+k) at k = 1, c = 2,
-    # which overshoots the root
+    # is the far root, x = -0.5. With no model, the test at gamma = 1 and
+    # each of the bisection's 34 midpoints is one value call; none falls at
+    # 2/3, the schedule fraction c/(c+k) at k = 1, c = 2, which overshoots
+    # the root
     obj, points = value_logged(DistanceSq(np.array([0.0])), model=False)
     x, d = np.array([0.5]), np.array([-2.5])
     x_next, f_next = _searched_step(obj, x, d, 0.125)
     assert x_next == pytest.approx([-0.5], abs=3e-9)
     assert f_next <= 0.125
-    assert len(points) == 50
+    assert len(points) == 35
     assert (x + (2.0 / 3.0) * d).tobytes() not in points
 
 
@@ -395,8 +395,9 @@ def test_line_search_records_f_of_each_iterate(make, name):
 
 class Pocketed:
     """f(x) = h(|x|): h(u) = -u up to 0.3, u - 0.6 up to 0.6, u beyond,
-    except -1 on the pocket (0.852, 0.858), which no grid point of the
-    search hits. No along(), so every search test is evaluated."""
+    except -1 on the pocket (0.852, 0.858), where phi falls to <= 0 again
+    past its root: unlike every shipped objective, f is not convex. No
+    along(), so every search test is evaluated."""
 
     def value(self, x):
         u = abs(float(x[0]))
@@ -421,9 +422,10 @@ def test_line_search_evaluates_no_point_twice(name):
 
 def test_line_search_calls_no_value_at_a_refused_step():
     # on sensing instance 7000 every plain euler step x + gamma_k d
-    # overshoots the far root of phi, so the run refuses it. Where gamma_k
-    # is a grid point of the scan, the model settles that f rises there, so
-    # no value call falls at the refused step
+    # overshoots the far root of phi, so the run refuses it. The search
+    # tests only 1, dyadic midpoints of [0, 1] and 0; where gamma_k is one
+    # of them (k = 0, 2, 6, 14, 30), the model settles that f rises there,
+    # so no value call falls at the refused step
     p = make_sensing(seed=7000)
     log = logged_calls(p)
     cfg = cfg_for("euler", variant="line_search", max_iters=60, record_iterates=True)
@@ -464,6 +466,11 @@ class ValueOnly:
     def __init__(self, objective):
         self.value = objective.value
         self.gradient = objective.gradient
+
+
+def hidden_model(p):
+    """p with its objective's along() hidden."""
+    return ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "hidden")
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["least_squares", "distance_sq"]),
@@ -540,7 +547,7 @@ def test_line_search_wrong_model_stays_monotone():
     p = make_sensing(m=30, n=8, seed=2, alpha=50.0)
     wrong = ProblemInstance(WrongModel(p.objective.g, p.objective.h), p.region,
                             p.x0, None, "wrong")
-    plain = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "plain")
+    plain = hidden_model(p)
     for name in ("euler", "rk44"):
         cfg = cfg_for(name, variant="line_search", max_iters=60)
         traj = run(wrong, cfg)
@@ -554,25 +561,29 @@ def test_line_search_model_and_evaluated_runs_agree(name):
     # there are mostly 0, and the model decides the fallback
     for seed, size in ((5, dict(m=60, n=20)), (7000, {}), (7001, {})):
         p = make_sensing(seed=seed, **size)
-        hidden = ProblemInstance(ValueOnly(p.objective), p.region, p.x0, None, "hidden")
         cfg = cfg_for(name, variant="line_search", max_iters=80, record_iterates=True)
-        a, b = run(p, cfg), run(hidden, cfg)
+        a, b = run(p, cfg), run(hidden_model(p), cfg)
         assert a.fs.tobytes() == b.fs.tobytes(), seed
         assert a.step_norms.tobytes() == b.step_norms.tobytes(), seed
         assert a.iterates.tobytes() == b.iterates.tobytes(), seed
 
 
+GRID = tuple(i / 32 for i in range(33))  # np.linspace(0, 1, 33), bit for bit
+
+
 def closure_far_root(no_rise):
-    """The closure-based _far_root that the inline one replaced, verbatim:
-    the reference for test_inline_far_root_matches_closure_far_root."""
+    """The far-root rule that _far_root's bisection of [0, 1] replaced: a
+    scan down GRID from gamma = 1 to the last passing grid point, then
+    bisection of the bracket above it. The reference for
+    test_inline_far_root_matches_closure_far_root."""
     if no_rise(1.0):
         return 1.0
     for idx in range(31, -1, -1):  # 32 is gamma = 1, refused above
-        if no_rise(_GRID[idx]):
+        if no_rise(GRID[idx]):
             break
     else:
         raise ValueError("no step along the search direction passes the sign test")
-    lo, hi = _GRID[idx], _GRID[idx + 1]
+    lo, hi = GRID[idx], GRID[idx + 1]
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if no_rise(mid):
@@ -595,8 +606,9 @@ def closure_no_rise(a, b, err, trusted, evaluated):
 
 
 def closure_searched_step(objective, x, d, fx):
-    """The closure-based _searched_step: the reference for
-    test_inline_search_matches_closure_search."""
+    """_searched_step on closure_far_root: the reference for
+    test_inline_search_matches_closure_search and
+    test_search_matches_grid_scan_search_on_shipped_objectives."""
     along = getattr(objective, "along", None)
     trusted = along is not None
     a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
@@ -608,16 +620,9 @@ def closure_searched_step(objective, x, d, fx):
             points[gamma] = y, objective.value(y)
         return points[gamma][1] - fx <= 0.0
 
-    def no_rise(gamma):
-        m = gamma * (a * gamma + b)
-        if abs(m) > err or gamma == 0.0 and trusted:
-            return m <= 0.0
-        return evaluated(gamma)
-
-    gbar = closure_far_root(no_rise)
-    if not (gbar == 0.0 or evaluated(gbar)):
-        err, trusted = math.inf, False  # the model was wrong: drop it
-        gbar = closure_far_root(no_rise)
+    gbar = closure_far_root(closure_no_rise(a, b, err, trusted, evaluated))
+    if not (gbar == 0.0 or evaluated(gbar)):  # the model was wrong: drop it
+        gbar = closure_far_root(closure_no_rise(a, b, math.inf, False, evaluated))
     if gbar in points:
         return points[gbar]
     x_next = x + gbar * d
@@ -632,12 +637,11 @@ class Rising:
 
 
 class Modelled:
-    """`objective`'s value, with every point it is called at logged in
-    `points`, and an along() that answers `model` whatever x and d are."""
+    """`objective`'s value, and an along() that answers `model` whatever x
+    and d are."""
 
     def __init__(self, objective, model):
-        self.points = []
-        self.value = lambda y: self.points.append(y.tobytes()) or objective.value(y)
+        self.value = objective.value
         if model is not None:
             self.along = lambda x, d: model
 
@@ -650,6 +654,10 @@ SEARCH_ORACLES = {"monotone": Rising, "pocketed": Pocketed,
 model_coefficients = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats(-4.0, 4.0))
 model_errs = st.sampled_from([0.0, 5e-324, 1e-12, 0.05, 1.0, math.inf, math.nan])
+# the (err, trusted) pairs _searched_step hands _far_root: a model's own
+# err, or inf once there is no model
+searched_models = st.one_of(model_errs.map(lambda err: (err, True)),
+                            st.just((math.inf, False)))
 
 
 def outcome(search):
@@ -661,47 +669,80 @@ def outcome(search):
 
 
 @settings(max_examples=400)
-@given(model_coefficients, model_coefficients, model_errs, st.booleans(),
+@given(model_coefficients, model_coefficients, searched_models,
        st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0))
-@example(math.inf, 0.0, 0.0, True, "monotone", 1.0)  # NaN model at 0: raises
-@example(0.0, 0.0, math.inf, False, "pocketed", 1.0)  # a dropped model
-def test_inline_far_root_matches_closure_far_root(a, b, err, trusted, oracle, d):
-    # same gamma or same error, and evaluated called at the same gammas in
-    # the same order
-    results = []
-    for inline in (True, False):
-        objective, x, log = SEARCH_ORACLES[oracle](), np.array([0.0]), []
-        fx = objective.value(x)
+@example(math.inf, 0.0, (0.0, True), "monotone", 1.0)  # NaN model at 0: raises
+@example(0.0, 0.0, (math.inf, False), "pocketed", 1.0)  # no model
+@example(0.0, 0.0, (math.inf, False), "pocketed", 1.01)  # the scan stops in the pocket
+def test_inline_far_root_matches_closure_far_root(a, b, model, oracle, d):
+    # the same gamma or the same error. On the non-convex Pocketed the scan
+    # and the bisection can stop on either side of the pocket; the gamma
+    # returned must pass the sign test
+    (err, trusted), x, objective = model, np.array([0.0]), SEARCH_ORACLES[oracle]()
+    fx = objective.value(x)
 
-        def evaluated(gamma):
-            log.append(gamma)
-            return objective.value(x + gamma * np.array([d])) - fx <= 0.0
+    def evaluated(gamma):
+        return objective.value(x + gamma * np.array([d])) - fx <= 0.0
 
-        if inline:
-            gbar = outcome(lambda: _far_root(a, b, err, trusted, evaluated))
-        else:
-            no_rise = closure_no_rise(a, b, err, trusted, evaluated)
-            gbar = outcome(lambda: closure_far_root(no_rise))
-        results.append((gbar, log))
-    assert results[0] == results[1]
+    no_rise = closure_no_rise(a, b, err, trusted, evaluated)
+    gbar = outcome(lambda: _far_root(a, b, err, trusted, evaluated))
+    if oracle == "pocketed" and not isinstance(gbar, str):
+        assert no_rise(gbar)
+    else:
+        assert gbar == outcome(lambda: closure_far_root(no_rise))
 
 
 @settings(max_examples=400)
 @given(model_coefficients, model_coefficients, model_errs, st.booleans(),
        st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0))
 def test_inline_search_matches_closure_search(a, b, err, model, oracle, d):
-    # the whole search, with its check of gbar and the redo: the same point,
-    # f and error, and value called at the same points
-    results = []
-    for search in (_searched_step, closure_searched_step):
-        objective = Modelled(SEARCH_ORACLES[oracle](), (a, b, err) if model else None)
-        x, direction = np.array([0.0]), np.array([d])
-        fx = SEARCH_ORACLES[oracle]().value(x)
-        got = outcome(lambda: search(objective, x, direction, fx))
-        if not isinstance(got, str):
-            got = (got[0].tobytes(), got[1])
-        results.append((got, objective.points))
-    assert results[0] == results[1]
+    # the whole search, with its check of gbar and the redo: the same point
+    # and f, or the same error. On Pocketed the point must not raise f
+    objective = Modelled(SEARCH_ORACLES[oracle](), (a, b, err) if model else None)
+    x, direction = np.array([0.0]), np.array([d])
+    fx = objective.value(x)
+    got, want = (outcome(lambda: search(objective, x, direction, fx))
+                 for search in (_searched_step, closure_searched_step))
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    elif oracle == "pocketed":
+        f = objective.value(got[0])
+        assert f <= fx and got[1] in (None, f)
+    else:
+        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+def seeded_triangle(seed):
+    """The triangle at a seeded target inside it."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(3))
+    return make_triangle(x_star=weights @ np.array(TRIANGLE_VERTICES))
+
+
+SHIPPED = {
+    "triangle": seeded_triangle,
+    "sensing": lambda seed: make_sensing(m=120, n=40, seed=seed),
+    "sensing_value_only": lambda seed: hidden_model(make_sensing(m=120, n=40, seed=seed)),
+    "sensing_logistic": lambda seed: make_sensing_logistic(m=80, n=20, seed=seed),
+    "scalar_huber": lambda seed: make_scalar_huber((0.1, 0.01, 0.3)[seed]),
+}
+
+
+@pytest.mark.parametrize("problem", SHIPPED)
+@pytest.mark.parametrize("name, c", [("euler", 2.0), ("rk44", 1.0), ("rk38", 3.0)])
+def test_search_matches_grid_scan_search_on_shipped_objectives(problem, name, c):
+    # every shipped objective is convex: there the bisection of [0, 1]
+    # reaches the bracket above the grid scan's last passing grid point,
+    # so at every row of a seeded run both searches return the same point
+    # bytes and f
+    for seed in range(3):
+        p = SHIPPED[problem](seed)
+        cfg = cfg_for(name, c=c, variant="line_search", max_iters=40, record_iterates=True)
+        traj = run(p, cfg)
+        for k in range(cfg.max_iters):
+            x = traj.iterates[k]
+            x_plain, _ = rk_fw_step(x, k, cfg, p)
+            d = (x_plain - x) / (cfg.delta * cfg.c / (cfg.c + cfg.delta * k))
+            got, want = (search(p.objective, x, d, traj.fs[k])
+                         for search in (_searched_step, closure_searched_step))
+            assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1]), (seed, k)
 
 
 class NanAtStart:
