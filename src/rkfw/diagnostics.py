@@ -158,14 +158,14 @@ def decrease_bound_d4(t: ButcherTableau, c: float, l: float, l2: float,
     return (l * d2 ** 2 + 2 * l * d2 * d3 + 2 * l2 * d3) / 2
 
 
-def decrease_bound_check(traj, d4: float, c: float):
+def decrease_bound_check(h, d4: float, c: float):
     """Indices k >= 1 where the per-step decrease inequality fails.
 
     Checks h(k+1) - h(k) <= -gamma h(k) + d4 gamma^2 + 1e-9 with
-    gamma = c/(c + k + 1) and h the objective above the known optimum.
+    gamma = c/(c + k + 1) on the series h = f - f*, the objective above
+    the optimum (traj.fs - problem.f_star for a run).
     A step from or to a non-finite h (NaN or +-inf) counts as failing.
     """
-    h = traj.h()
     out = []
     for k in range(1, len(h) - 1):
         gamma = c / (c + k + 1)

@@ -58,8 +58,8 @@ class Trajectory:
     """The record of one run: one row per visited point, k = 0..max_iters.
 
     Row k sits at time ts[k] = k * delta. `iterates` is set only when the
-    run recorded them. A flow reference is also a Trajectory: the one
-    flow.reference_trajectory returns.
+    run recorded them; h = f - f* is fs - problem.f_star. A flow reference
+    is also a Trajectory: the one flow.reference_trajectory returns.
     """
 
     ks: np.ndarray
@@ -70,14 +70,7 @@ class Trajectory:
     violations: np.ndarray
     wall_ns: np.ndarray
     delta: float
-    f_star: Optional[float] = None
     iterates: Optional[np.ndarray] = None  # row k is x_k, in x0's shape
-
-    def h(self) -> np.ndarray:
-        """Objective above the known optimum."""
-        if self.f_star is None:
-            raise ValueError("trajectory has no recorded optimum")
-        return self.fs - self.f_star
 
 
 def _all_finite(v) -> bool:
@@ -143,7 +136,7 @@ def _row_gap(x, problem):
 _BISECT_WIDTH = 1e-10  # the line search's bisection stops at a bracket this wide
 
 
-def _far_root(a, b, err, trusted, evaluated):
+def _far_root(a, b, err, evaluated):
     """Largest gamma in [0, 1] that passes the sign test phi(gamma) <= 0:
     1 itself when it passes, else the lower end of the bracket that
     bisecting [0, 1] narrows to _BISECT_WIDTH. On a convex phi the passing
@@ -152,9 +145,9 @@ def _far_root(a, b, err, trusted, evaluated):
     ValueError when it fails too (a NaN f or model there).
 
     The test reads the model m = gamma (a gamma + b) where |m| > err >= 0,
-    and at gamma = 0 when the model is trusted; elsewhere, a NaN m or err
-    included, it calls evaluated(gamma). The model is computed inline, with
-    no call per test: a search makes at most 36 tests.
+    and at gamma = 0 when err is finite; elsewhere, a NaN m or err included,
+    it calls evaluated(gamma). The model is computed inline, with no call
+    per test: a search makes at most 36 tests.
     """
     neg = -err
     m = a + b  # the model at gamma = 1
@@ -175,7 +168,7 @@ def _far_root(a, b, err, trusted, evaluated):
             hi = mid
     if lo == 0.0:  # no gamma > 0 passed
         m = 0.0 * (a * 0.0 + b)  # 0, or NaN for a non-finite model
-        if not ((m <= 0.0) if (m > err or m < neg or trusted) else evaluated(0.0)):
+        if not ((m <= 0.0) if err < math.inf else evaluated(0.0)):
             raise ValueError("no step along the search direction passes the sign test")
     return lo
 
@@ -193,18 +186,19 @@ def _searched_step(objective, x, d, fx):
     The test reads the model from along(x, d) -> (a, b, err) where the
     objective has it: phi(gamma) = a gamma^2 + b gamma exactly, and err
     bounds the rounding of phi as value computes it, so wherever
-    |model| > err, and at gamma = 0, where both are exactly 0, the model has
-    the sign of the evaluated phi. Elsewhere evaluated(gamma) decides from
-    f, calling value once per gamma: a few value calls per search instead of
-    about 35. gbar is checked by evaluated (unless it is 0); if f rises
-    there, the model is dropped and the search redone on values alone, so a
-    wrong model can change the step but never lets f rise.
+    |model| > err, and at gamma = 0 under a finite err, where both are
+    exactly 0, the model has the sign of the evaluated phi. Elsewhere
+    evaluated(gamma) decides from f, calling value once per gamma: a few
+    value calls per search instead of about 35. A model with err = inf (no
+    along, an overflowing one, or a dropped one) decides no test. gbar is
+    checked by evaluated (unless it is 0); if f rises there, the model is
+    dropped and the search redone on values alone, so a wrong model can
+    change the step but never lets f rise.
     At gbar = 0, x + 0 d can differ from x in the sign of a zero, so fx is
     reused only when the two are equal byte for byte.
     """
     along = getattr(objective, "along", None)
-    trusted = along is not None
-    a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
+    a, b, err = (0.0, 0.0, math.inf) if along is None else along(x, d)
     points = {}  # gamma -> (x + gamma d, f there)
 
     def evaluated(gamma):
@@ -213,10 +207,9 @@ def _searched_step(objective, x, d, fx):
             points[gamma] = y, objective.value(y)
         return points[gamma][1] - fx <= 0.0
 
-    gbar = _far_root(a, b, err, trusted, evaluated)
-    if not (gbar == 0.0 or evaluated(gbar)):
-        err, trusted = math.inf, False  # the model was wrong: drop it
-        gbar = _far_root(a, b, err, trusted, evaluated)
+    gbar = _far_root(a, b, err, evaluated)
+    if not (gbar == 0.0 or evaluated(gbar)):  # the model was wrong: drop it
+        gbar = _far_root(a, b, math.inf, evaluated)
     if gbar in points:
         return points[gbar]
     x_next = x + gbar * d
@@ -304,6 +297,5 @@ def run(problem, cfg: SolverConfig, consumers=()) -> Trajectory:
     return Trajectory(
         ks=ks, ts=ts, fs=fs, gaps=gaps, step_norms=step_norms,
         violations=violations, wall_ns=wall, delta=cfg.delta,
-        f_star=problem.f_star,
         iterates=iterates,
     )

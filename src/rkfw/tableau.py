@@ -145,20 +145,22 @@ def make_tableau(name: str) -> ButcherTableau:
 
 
 def load_tableau_file(path) -> ButcherTableau:
-    """Parse a plain-text tableau: line 1 is q, then q rows of A, a weights
-    row, and an offsets row (whitespace separated)."""
+    """Parse a plain-text tableau: line 1 is q >= 1 alone, then q rows of A,
+    a weights row, and an offsets row (whitespace separated)."""
     with open(path) as fh:
         rows = [ln.split() for ln in fh if ln.strip()]
     if not rows:
         raise ValueError(f"{path}: empty tableau file")
     try:
-        q = int(rows[0][0])
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}: first line must be the stage count") from None
+        (q,) = map(int, rows[0])  # one integer alone on its line
+    except ValueError:
+        q = 0
+    if q < 1:
+        raise ValueError(f"{path}: first line must be the stage count")
     if len(rows) != q + 3:
         raise ValueError(f"{path}: expected {q + 3} lines for q={q}, got {len(rows)}")
     # lengths first: numpy would report a ragged A as a non-numeric entry
-    if q < 1 or any(len(row) != q for row in rows[1:]):
+    if any(len(row) != q for row in rows[1:]):
         raise ValueError(f"{path}: row lengths inconsistent with q={q}")
     try:
         a = np.array([[float(v) for v in rows[1 + i]] for i in range(q)])

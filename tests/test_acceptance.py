@@ -211,7 +211,7 @@ def test_acceptance_09_per_step_decrease_bound():
     # L=1 (quadratic), diameter D=2; composition Lipschitz bound from the
     # same diameter.
     d4 = decrease_bound_d4(make_tableau("rk44"), 2.0, l=1.0, l2=2.0, d=2.0)
-    violations = [k for k in decrease_bound_check(traj, d4, 2.0) if k <= 1000]
+    violations = [k for k in decrease_bound_check(traj.fs - tri.f_star, d4, 2.0) if k <= 1000]
     assert violations == [], f"decrease inequality failed at k={violations[:10]}"
 
 

@@ -347,15 +347,6 @@ def test_run_rejects_infeasible_start():
         ProblemInstance(p.objective, p.region, np.array([2.0, 2.0]), p.f_star, p.label)
 
 
-def test_trajectory_h_requires_optimum():
-    p = make_sensing(m=15, n=4, seed=0, alpha=3.0)
-    traj = run(p, cfg_for("euler", max_iters=3))
-    with pytest.raises(ValueError, match="optimum"):
-        traj.h()
-    t2 = run(make_triangle(), cfg_for("euler", max_iters=3))
-    assert np.array_equal(t2.h(), t2.fs)
-
-
 def test_line_search_run_is_monotone_triangle():
     p = make_triangle()
     traj = run(p, cfg_for("euler", variant="line_search", max_iters=200))
@@ -593,12 +584,13 @@ def closure_far_root(no_rise):
     return lo
 
 
-def closure_no_rise(a, b, err, trusted, evaluated):
-    """The sign test as the closure-based search built it."""
+def closure_no_rise(a, b, err, evaluated):
+    """The sign test as the closure-based search built it, trusting the
+    model at gamma = 0 exactly when err is finite."""
 
     def no_rise(gamma):
         m = gamma * (a * gamma + b)
-        if abs(m) > err or gamma == 0.0 and trusted:
+        if abs(m) > err or gamma == 0.0 and err < math.inf:
             return m <= 0.0
         return evaluated(gamma)
 
@@ -610,8 +602,7 @@ def closure_searched_step(objective, x, d, fx):
     test_inline_search_matches_closure_search and
     test_search_matches_grid_scan_search_on_shipped_objectives."""
     along = getattr(objective, "along", None)
-    trusted = along is not None
-    a, b, err = along(x, d) if trusted else (0.0, 0.0, math.inf)
+    a, b, err = (0.0, 0.0, math.inf) if along is None else along(x, d)
     points = {}  # gamma -> (x + gamma d, f there)
 
     def evaluated(gamma):
@@ -620,9 +611,9 @@ def closure_searched_step(objective, x, d, fx):
             points[gamma] = y, objective.value(y)
         return points[gamma][1] - fx <= 0.0
 
-    gbar = closure_far_root(closure_no_rise(a, b, err, trusted, evaluated))
+    gbar = closure_far_root(closure_no_rise(a, b, err, evaluated))
     if not (gbar == 0.0 or evaluated(gbar)):  # the model was wrong: drop it
-        gbar = closure_far_root(closure_no_rise(a, b, math.inf, False, evaluated))
+        gbar = closure_far_root(closure_no_rise(a, b, math.inf, evaluated))
     if gbar in points:
         return points[gbar]
     x_next = x + gbar * d
@@ -649,15 +640,11 @@ class Modelled:
 SEARCH_ORACLES = {"monotone": Rising, "pocketed": Pocketed,
                   "nan_beyond_half": NanBeyondHalf}
 # model coefficients of either sign, zeros, infinities and NaN; err from 0
-# through the smallest subnormal to inf, the bound of a dropped model, and
-# the NaN bound of a non-finite x or d
+# through the smallest subnormal to inf, the bound of an overflowing, absent
+# or dropped model, and the NaN bound of a non-finite x or d
 model_coefficients = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats(-4.0, 4.0))
 model_errs = st.sampled_from([0.0, 5e-324, 1e-12, 0.05, 1.0, math.inf, math.nan])
-# the (err, trusted) pairs _searched_step hands _far_root: a model's own
-# err, or inf once there is no model
-searched_models = st.one_of(model_errs.map(lambda err: (err, True)),
-                            st.just((math.inf, False)))
 
 
 def outcome(search):
@@ -669,23 +656,23 @@ def outcome(search):
 
 
 @settings(max_examples=400)
-@given(model_coefficients, model_coefficients, searched_models,
+@given(model_coefficients, model_coefficients, model_errs,
        st.sampled_from(sorted(SEARCH_ORACLES)), st.floats(-2.0, 2.0))
-@example(math.inf, 0.0, (0.0, True), "monotone", 1.0)  # NaN model at 0: raises
-@example(0.0, 0.0, (math.inf, False), "pocketed", 1.0)  # no model
-@example(0.0, 0.0, (math.inf, False), "pocketed", 1.01)  # the scan stops in the pocket
-def test_inline_far_root_matches_closure_far_root(a, b, model, oracle, d):
+@example(math.inf, 0.0, 0.0, "monotone", 1.0)  # NaN model at 0 with err 0.0: raises
+@example(0.0, 0.0, math.inf, "pocketed", 1.0)  # no model
+@example(0.0, 0.0, math.inf, "pocketed", 1.01)  # the scan stops in the pocket
+def test_inline_far_root_matches_closure_far_root(a, b, err, oracle, d):
     # the same gamma or the same error. On the non-convex Pocketed the scan
     # and the bisection can stop on either side of the pocket; the gamma
     # returned must pass the sign test
-    (err, trusted), x, objective = model, np.array([0.0]), SEARCH_ORACLES[oracle]()
+    x, objective = np.array([0.0]), SEARCH_ORACLES[oracle]()
     fx = objective.value(x)
 
     def evaluated(gamma):
         return objective.value(x + gamma * np.array([d])) - fx <= 0.0
 
-    no_rise = closure_no_rise(a, b, err, trusted, evaluated)
-    gbar = outcome(lambda: _far_root(a, b, err, trusted, evaluated))
+    no_rise = closure_no_rise(a, b, err, evaluated)
+    gbar = outcome(lambda: _far_root(a, b, err, evaluated))
     if oracle == "pocketed" and not isinstance(gbar, str):
         assert no_rise(gbar)
     else:
@@ -766,14 +753,29 @@ def test_line_search_raises_when_no_step_passes():
     obj, x = NanAtStart(), np.array([0.0])
     with pytest.raises(ValueError, match=msg):
         _searched_step(obj, x, np.array([1.0]), obj.value(x))
-    # along an ascent direction f rises at every gamma > 0, and the trusted
-    # model is NaN at gamma = 0, so it refuses even the step that stays at x
+    # along an ascent direction f rises at every gamma > 0, and the model,
+    # whose err is finite, is NaN at gamma = 0, so it refuses even the step
+    # that stays at x
     obj, x = NanModel(np.array([0.0])), np.array([0.5])
     with pytest.raises(ValueError, match=msg):
         _searched_step(obj, x, np.array([1.0]), obj.value(x))
     # with the true model, the same search stays at x
     x_next, f_next = _searched_step(DistanceSq(np.array([0.0])), x, np.array([1.0]), 0.125)
     assert x_next.tobytes() == as_bytes(0.5) and f_next == 0.125
+
+
+def test_line_search_overflowing_model_decides_no_test():
+    # d.d overflows, so along gives a = err = inf and its model is NaN at
+    # gamma = 0. With err = inf the model decides no test: the search
+    # evaluates all 36, as it does without along, and stays at x
+    p = ProblemInstance(DistanceSq(np.zeros(2)), Box(1.0), np.zeros(2), 0.0, "origin")
+    calls = logged_calls(p)
+    x, d = p.x0, np.array([1e155, 1e155])
+    with np.errstate(over="ignore"):
+        assert p.objective.along(x, d) == (math.inf, 0.0, math.inf)
+        x_next, f_next = _searched_step(p.objective, x, d, 0.0)
+    assert x_next.tobytes() == x.tobytes() and f_next == 0.0
+    assert len(calls) == 36 and calls[-1] == x.tobytes()
 
 
 class ResidualGradient(LeastSquares):

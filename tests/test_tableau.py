@@ -218,9 +218,11 @@ def test_load_tableau_file_errors(tmp_path):
     p.write_text("2\n0 0\n0.5 0\n0 1\n")
     with pytest.raises(ValueError, match="expected 5 lines"):
         load_tableau_file(p)
-    p.write_text("x\n")
-    with pytest.raises(ValueError, match="stage count"):
-        load_tableau_file(p)
+    # the first line is one integer q >= 1, alone: "2 3" is not read as q = 2
+    for head in ("x", "2 3", "0", "-1"):
+        p.write_text(head + "\n0 0\n0.5 0\n0 1\n0 0.5\n")
+        with pytest.raises(ValueError, match="bad.txt: first line must be the stage count$"):
+            load_tableau_file(p)
     p.write_text("2\n0 0\n0.5 zz\n0 1\n0 0.5\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_tableau_file(p)
